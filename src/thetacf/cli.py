@@ -31,6 +31,7 @@ from . import __version__
 from . import constants as consts
 from . import families, montecarlo, operators
 from .expansion import (
+    FLOAT_DIGIT_HORIZON,
     DigitError,
     DomainError,
     QThetaNumber,
@@ -195,6 +196,7 @@ def cmd_expand(args) -> int:
             row["error_float"] = float(x - ratio)
         conv_rows.append(row)
     cyl = cylinder(seq, params)
+    measure = cylinder_measure(cyl, params)
     payload = _envelope(
         "expand",
         {
@@ -212,13 +214,13 @@ def cmd_expand(args) -> int:
             "notice": notice,
             "digits": list(seq.digits),
             "terminated": seq.terminated,
-            "float_horizon": 40,
+            "float_horizon": FLOAT_DIGIT_HORIZON,
             "convergents": conv_rows,
             "cylinder": {
                 "lower": qtheta_to_dict(cyl.lower),
                 "upper": qtheta_to_dict(cyl.upper),
-                "normalized_measure": str(cylinder_measure(cyl, params)),
-                "normalized_measure_float": float(cylinder_measure(cyl, params)),
+                "normalized_measure": str(measure),
+                "normalized_measure_float": float(measure),
             },
         }
     )

@@ -120,6 +120,11 @@ def digit_law(k, params: ThetaParams):
 # ---------------------------------------------------------------------------
 
 
+# Each scheme bounds the error of the integral, which is then divided by
+# L = log(1+theta^2) ~ 1/m; an integral budget of tol*L/2 makes beta meet
+# tol/2 and the entropy 2*beta meet tol.  Achieved errors are on beta's scale.
+
+
 def _beta_split(params: ThetaParams, tol: float) -> tuple[float, float]:
     """Split scheme: analytic series on (0, theta/2], adaptive rule on the rest.
 
@@ -128,6 +133,7 @@ def _beta_split(params: ThetaParams, tol: float) -> tuple[float, float]:
     the term ratio is theta^2/2 = 1/(2m), so the series is geometric.
     """
     th = params.theta
+    budget = tol * params.log_normalizer / 2.0
     c = th / 2.0
     left = 0.0
     k = 0
@@ -137,23 +143,24 @@ def _beta_split(params: ThetaParams, tol: float) -> tuple[float, float]:
         term = th * (-th) ** k * g
         left += term
         bound = abs(term) * (th * c) / (1.0 - th * c)
-        if bound < tol / 4.0 and k >= 4:
+        if bound < budget / 4.0 and k >= 4:
             break
         k += 1
         if k > 10_000:
             raise QuadratureError("series for the singular half did not converge")
     right, err = integrate.quad(
-        lambda x: th * math.log(x) / (1.0 + th * x), c, th, epsabs=tol / 4.0, epsrel=1e-13
+        lambda x: th * math.log(x) / (1.0 + th * x), c, th, epsabs=budget / 4.0, epsrel=1e-13
     )
     achieved = bound + err
-    if achieved > tol:
-        raise QuadratureError(f"beta quadrature achieved {achieved:.2e} > tol {tol:.2e}")
-    return -(left + right) / params.log_normalizer, achieved
+    if achieved > budget:
+        raise QuadratureError(f"beta quadrature achieved {achieved:.2e} > budget {budget:.2e}")
+    return -(left + right) / params.log_normalizer, achieved / params.log_normalizer
 
 
 def _beta_series(params: ThetaParams, tol: float) -> tuple[float, float]:
     """Fully termwise scheme over the whole interval (ratio 1/m, alternating)."""
     m = params.m
+    budget = tol * params.log_normalizer / 2.0
     logth = -0.5 * math.log(m)
     s = 0.0
     k = 0
@@ -161,23 +168,24 @@ def _beta_series(params: ThetaParams, tol: float) -> tuple[float, float]:
         term = (-1.0) ** k * m ** (-(k + 1)) * (logth / (k + 1) - 1.0 / (k + 1) ** 2)
         s += term
         nxt = m ** (-(k + 2)) * (abs(logth) / (k + 2) + 1.0 / (k + 2) ** 2)
-        if nxt < tol and k >= 3:
+        if nxt < budget and k >= 3:
             break
         k += 1
         if k > 10_000:
             raise QuadratureError("termwise beta series did not converge")
-    return -s / params.log_normalizer, nxt
+    return -s / params.log_normalizer, nxt / params.log_normalizer
 
 
 def _beta_logweight(params: ThetaParams, tol: float) -> tuple[float, float]:
     """QUADPACK rule with explicit log(x) endpoint weight."""
     th = params.theta
+    budget = tol * params.log_normalizer / 2.0
     val, err = integrate.quad(
         lambda x: th / (1.0 + th * x), 0.0, th, weight="alg-loga", wvar=(0.0, 0.0)
     )
-    if err > tol:
-        raise QuadratureError(f"log-weight rule achieved {err:.2e} > tol {tol:.2e}")
-    return -val / params.log_normalizer, err
+    if err > budget:
+        raise QuadratureError(f"log-weight rule achieved {err:.2e} > budget {budget:.2e}")
+    return -val / params.log_normalizer, err / params.log_normalizer
 
 
 _BETA_METHODS = {"split": _beta_split, "series": _beta_series, "logweight": _beta_logweight}

@@ -17,6 +17,12 @@ Q(theta): every quantity is a + b*theta with big-rational a, b, and
 theta^2 reduces to the rational 1/m, so the representation is closed
 under +, -, *, and reciprocals.  Identity-grade checks must use the
 exact backend.
+
+The exact map lives in one place: ``_exact_orbit`` checks its input once
+and returns the digits and every orbit point, at one reciprocal and one
+exact floor per step, and ``_convergent_table`` builds p_k, q_k (seeds
+included) in one pass.  Every exact function here and in ``montecarlo``
+is a view on these two.
 """
 
 from __future__ import annotations
@@ -261,13 +267,8 @@ class QThetaNumber:
         if self.b == 0:
             return float(self.a)
         bits = 64
-        lo = hi = None
         while bits <= (1 << 20):
-            lo_t, hi_t = _theta_enclosure(self.m, bits)
-            if self.b > 0:
-                lo, hi = self.a + self.b * lo_t, self.a + self.b * hi_t
-            else:
-                lo, hi = self.a + self.b * hi_t, self.a + self.b * lo_t
+            lo, hi = _enclose(self, bits)
             flo, fhi = float(lo), float(hi)
             if flo == fhi:
                 return flo
@@ -276,6 +277,14 @@ class QThetaNumber:
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*theta"
+
+
+def _enclose(x: QThetaNumber, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= x <= hi from the width-2^-bits enclosure of theta."""
+    lo_t, hi_t = _theta_enclosure(x.m, bits)
+    if x.b > 0:
+        return x.a + x.b * lo_t, x.a + x.b * hi_t
+    return x.a + x.b * hi_t, x.a + x.b * lo_t
 
 
 def floor_qtheta(x: QThetaNumber) -> int:
@@ -289,16 +298,10 @@ def floor_qtheta(x: QThetaNumber) -> int:
     if x.b == 0:
         return math.floor(x.a)
     bits = 64
-    n = None
     while True:
-        lo_t, hi_t = _theta_enclosure(x.m, bits)
-        if x.b > 0:
-            lo, hi = x.a + x.b * lo_t, x.a + x.b * hi_t
-        else:
-            lo, hi = x.a + x.b * hi_t, x.a + x.b * lo_t
-        flo, fhi = math.floor(lo), math.floor(hi)
-        if flo == fhi:
-            n = flo
+        lo, hi = _enclose(x, bits)
+        n = math.floor(lo)
+        if n == math.floor(hi):
             break
         bits *= 2  # terminates: x is irrational when b != 0
     while (x - n).sign() < 0:
@@ -335,11 +338,7 @@ def log_qtheta(x: QThetaNumber) -> float:
         return _log_fraction(b) - 0.5 * math.log(m)
     bits = 128
     while True:
-        lo_t, hi_t = _theta_enclosure(m, bits)
-        if b > 0:
-            lo, hi = a + b * lo_t, a + b * hi_t
-        else:
-            lo, hi = a + b * hi_t, a + b * lo_t
+        lo, hi = _enclose(x, bits)
         if lo > 0 and (hi - lo) * 10**20 <= lo:
             return _log_fraction((lo + hi) / 2)
         bits *= 2
@@ -442,6 +441,39 @@ def _resolve_backend(x, backend: str) -> tuple[object, str]:
     return float(x), "float"
 
 
+def _as_qtheta(x, params: ThetaParams) -> QThetaNumber:
+    if isinstance(x, QThetaNumber):
+        return x
+    return QThetaNumber.from_rational(x, params.m)
+
+
+def _step(x: QThetaNumber, m: int) -> tuple[int, QThetaNumber]:
+    """Digit and image of a nonzero exact point.
+
+    With r = 1/x = a + b*theta the digit is floor(r*sqrt(m)), and
+    sqrt(m) = m*theta makes r*sqrt(m) = b + m*a*theta.  T(x) = r - d*theta.
+    """
+    r = x.reciprocal()
+    d = floor_qtheta(QThetaNumber(r.b, m * r.a, m))
+    return d, QThetaNumber(r.a, r.b - d, m)
+
+
+def _exact_orbit(x, n: int, params: ThetaParams) -> tuple[DigitSequence, list[QThetaNumber]]:
+    """Up to n digits of x and the orbit points x, T(x), ..., one per digit.
+
+    Only the input is checked against [0, theta]; the map keeps every
+    later point there.  The walk stops, ``terminated``, when it reaches 0.
+    """
+    x = _validate_exact_point(_as_qtheta(x, params), params)
+    points = [x]
+    digits = []
+    while len(digits) < n and not x.is_zero:
+        d, x = _step(x, params.m)
+        digits.append(d)
+        points.append(x)
+    return DigitSequence(tuple(digits), x.is_zero), points
+
+
 def digit_index(x, params: ThetaParams, backend: str = "auto"):
     """floor(1/(x*theta)) for x in (0, theta]; INFINITE_DIGIT at x = 0.
 
@@ -450,11 +482,8 @@ def digit_index(x, params: ThetaParams, backend: str = "auto"):
     """
     x, kind = _resolve_backend(x, backend)
     if kind == "exact":
-        x = _as_qtheta(x, params)
-        _validate_exact_point(x, params)
-        if x.is_zero:
-            return INFINITE_DIGIT
-        return floor_qtheta((x * params.theta_exact).reciprocal())
+        digits = _exact_orbit(x, 1, params)[0].digits
+        return digits[0] if digits else INFINITE_DIGIT
     x = _validate_float_point(x, params)
     if x == 0.0:
         return INFINITE_DIGIT
@@ -468,13 +497,7 @@ def gauss_map_apply(x, params: ThetaParams, backend: str = "auto"):
     """One step of the expansion map T(x) = 1/x - theta*floor(1/(x*theta))."""
     x, kind = _resolve_backend(x, backend)
     if kind == "exact":
-        x = _as_qtheta(x, params)
-        _validate_exact_point(x, params)
-        if x.is_zero:
-            return QThetaNumber.from_rational(0, params.m)
-        d = floor_qtheta((x * params.theta_exact).reciprocal())
-        r = x.reciprocal()
-        return QThetaNumber(r.a, r.b - d, params.m)
+        return _exact_orbit(x, 1, params)[1][-1]
     x = _validate_float_point(x, params)
     if x == 0.0:
         return 0.0
@@ -484,12 +507,6 @@ def gauss_map_apply(x, params: ThetaParams, backend: str = "auto"):
     d = max(params.m, math.floor(r))
     # 1/x - theta*d = theta*(r - d); stays inside [0, theta) by construction
     return min(max(params.theta * (r - d), 0.0), params.theta)
-
-
-def _as_qtheta(x, params: ThetaParams) -> QThetaNumber:
-    if isinstance(x, QThetaNumber):
-        return x
-    return QThetaNumber.from_rational(x, params.m)
 
 
 def expand(x, n_max: int, params: ThetaParams, backend: str = "auto") -> DigitSequence:
@@ -503,19 +520,10 @@ def expand(x, n_max: int, params: ThetaParams, backend: str = "auto") -> DigitSe
         raise ValueError("n_max must be >= 1")
     x, kind = _resolve_backend(x, backend)
     if kind == "exact":
-        x = _as_qtheta(x, params)
-        _validate_exact_point(x, params)
-        if x.is_zero:
+        seq, points = _exact_orbit(x, n_max, params)
+        if points[0].is_zero:
             raise DomainError("cannot expand x = 0")
-        digits = []
-        terminated = False
-        for _ in range(n_max):
-            digits.append(digit_index(x, params))
-            x = gauss_map_apply(x, params)
-            if x.is_zero:
-                terminated = True
-                break
-        return DigitSequence(tuple(digits), terminated)
+        return seq
     x = _validate_float_point(x, params)
     if x == 0.0:
         raise DomainError("cannot expand x = 0")
@@ -547,25 +555,35 @@ def expand(x, n_max: int, params: ThetaParams, backend: str = "auto") -> DigitSe
 # ---------------------------------------------------------------------------
 
 
+def _convergent_table(digits, m: int) -> tuple[list[QThetaNumber], list[QThetaNumber]]:
+    """p_k and q_k for k = -1 .. n, seeds included: p_k sits at index k+1.
+
+    p_n = a_n*theta*p_{n-1} + p_{n-2} from p_-1 = 1, p_0 = 0, and the
+    same for q from q_-1 = 0, q_0 = 1.
+    """
+    one = QThetaNumber.from_rational(1, m)
+    zero = QThetaNumber.from_rational(0, m)
+    ps, qs = [one, zero], [zero, one]
+    for a in digits:
+        at = QThetaNumber(Fraction(0), Fraction(a), m)
+        ps.append(at * ps[-1] + ps[-2])
+        qs.append(at * qs[-1] + qs[-2])
+    return ps, qs
+
+
+def _with_tail(ps, qs, t):
+    """(p_n + t*p_{n-1}) / (q_n + t*q_{n-1}) from a convergent table."""
+    return (ps[-1] + t * ps[-2]) / (qs[-1] + t * qs[-2])
+
+
 def convergents(digits, params: ThetaParams) -> list[ConvergentPair]:
     """Exact convergents from p_n = a_n*theta*p_{n-1} + p_{n-2} (same for q).
 
     Seeds p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.  The 2x2 recurrence
     matrix has determinant -1, so p_n q_{n-1} - p_{n-1} q_n = (-1)^{n+1}.
     """
-    seq = _digit_tuple(digits, params)
-    m = params.m
-    one = QThetaNumber.from_rational(1, m)
-    zero = QThetaNumber.from_rational(0, m)
-    p_prev, p_cur = one, zero  # p_{-1}, p_0
-    q_prev, q_cur = zero, one  # q_{-1}, q_0
-    out = []
-    for n, a in enumerate(seq, start=1):
-        at = QThetaNumber(Fraction(0), Fraction(a), m)
-        p_prev, p_cur = p_cur, at * p_cur + p_prev
-        q_prev, q_cur = q_cur, at * q_cur + q_prev
-        out.append(ConvergentPair(p=p_cur, q=q_cur, n=n))
-    return out
+    ps, qs = _convergent_table(_digit_tuple(digits, params), params.m)
+    return [ConvergentPair(p=ps[n + 1], q=qs[n + 1], n=n) for n in range(1, len(ps) - 1)]
 
 
 def reconstruct(digits, params: ThetaParams, tail=None):
@@ -575,24 +593,14 @@ def reconstruct(digits, params: ThetaParams, tail=None):
     (default 0).  Exact tails give an exact result; a float tail gives a
     float.  With t = T^n(x) this reproduces x exactly.
     """
-    seq = _digit_tuple(digits, params)
-    cs = convergents(seq, params)
-    p_n, q_n = cs[-1].p, cs[-1].q
-    if len(cs) >= 2:
-        p_nm1, q_nm1 = cs[-2].p, cs[-2].q
-    else:
-        p_nm1 = QThetaNumber.from_rational(0, params.m)
-        q_nm1 = QThetaNumber.from_rational(1, params.m)
+    ps, qs = _convergent_table(_digit_tuple(digits, params), params.m)
     if tail is None:
         tail = 0
     if isinstance(tail, float):
-        t = tail
-        if not (-_FLOAT_SLACK <= t <= params.theta + _FLOAT_SLACK):
-            raise DomainError(f"tail {t!r} outside [0, theta]")
-        return (float(p_n) + t * float(p_nm1)) / (float(q_n) + t * float(q_nm1))
-    t = _as_qtheta(tail, params)
-    _validate_exact_point(t, params)
-    return (p_n + t * p_nm1) / (q_n + t * q_nm1)
+        if not (-_FLOAT_SLACK <= tail <= params.theta + _FLOAT_SLACK):
+            raise DomainError(f"tail {tail!r} outside [0, theta]")
+        return _with_tail([float(p) for p in ps[-2:]], [float(q) for q in qs[-2:]], tail)
+    return _with_tail(ps, qs, _validate_exact_point(_as_qtheta(tail, params), params))
 
 
 def approximation_error(x: QThetaNumber, n: int, params: ThetaParams) -> QThetaNumber:
@@ -605,22 +613,15 @@ def approximation_error(x: QThetaNumber, n: int, params: ThetaParams) -> QThetaN
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = _as_qtheta(x, params)
-    _validate_exact_point(x, params)
-    seq = expand(x, n, params, backend="exact")
+    seq, points = _exact_orbit(x, n, params)
+    if points[0].is_zero:
+        raise DomainError("cannot expand x = 0")
     if len(seq) < n:
         raise TerminationError(f"expansion terminated after {len(seq)} < {n} digits")
-    cs = convergents(seq, params)
-    p_n, q_n = cs[-1].p, cs[-1].q
-    if n >= 2:
-        q_nm1 = cs[-2].q
-    else:
-        q_nm1 = QThetaNumber.from_rational(1, params.m)
-    t = x
-    for _ in range(n):
-        t = gauss_map_apply(t, params)
-    err = x - p_n / q_n
-    rhs = t / (q_n * (q_n + t * q_nm1))
+    ps, qs = _convergent_table(seq.digits, params.m)
+    x, t = points[0], points[n]
+    err = x - ps[-1] / qs[-1]
+    rhs = t / (qs[-1] * (qs[-1] + t * qs[-2]))
     if n % 2 == 1:
         rhs = -rhs
     if err != rhs:
@@ -635,8 +636,9 @@ def cylinder(digits, params: ThetaParams) -> Cylinder:
     order flips with the parity of the prefix length.
     """
     seq = _digit_tuple(digits, params)
-    e0 = reconstruct(seq, params, tail=0)
-    e1 = reconstruct(seq, params, tail=params.theta_exact)
+    ps, qs = _convergent_table(seq, params.m)
+    e0 = ps[-1] / qs[-1]
+    e1 = _with_tail(ps, qs, params.theta_exact)
     lower, upper = (e0, e1) if e0 < e1 else (e1, e0)
     ds = digits if isinstance(digits, DigitSequence) else DigitSequence(seq)
     return Cylinder(digits=ds, lower=lower, upper=upper)

@@ -27,10 +27,11 @@ from .expansion import (
     QThetaNumber,
     TerminationError,
     ThetaParams,
-    convergents,
+    _as_qtheta,
+    _convergent_table,
+    _exact_orbit,
     cylinder_measure,
     expand,
-    floor_qtheta,
     log_qtheta,
 )
 
@@ -57,7 +58,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngConfig:
-    """Root seed plus the (fixed) generator family label.
+    """Root seed of the Philox generators.
 
     Identical configs produce identical sample streams; per-orbit
     generators are derived from (seed, purpose, index) SeedSequence keys,
@@ -65,15 +66,9 @@ class RngConfig:
     """
 
     seed: int
-    family: str = "philox"
 
     def generator(self, purpose: int, index: int) -> np.random.Generator:
-        ss = np.random.SeedSequence((self.seed, purpose, index))
-        if self.family == "philox":
-            return np.random.Generator(np.random.Philox(ss))
-        if self.family == "pcg64":
-            return np.random.Generator(np.random.PCG64(ss))
-        raise ValueError(f"unknown rng family {self.family!r}")
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence((self.seed, purpose, index))))
 
 
 def random_rational_seed(gen: np.random.Generator, params: ThetaParams, max_denominator: int = 10**6) -> Fraction:
@@ -101,22 +96,6 @@ class OrbitSample:
 
     digits: DigitSequence
     points: tuple
-
-
-def _exact_orbit(x0: QThetaNumber, length: int, params: ThetaParams):
-    theta_ex = params.theta_exact
-    x = x0
-    pts = [x]
-    digits = []
-    for _ in range(length):
-        if x.is_zero:
-            break
-        d = floor_qtheta((x * theta_ex).reciprocal())
-        r = x.reciprocal()
-        x = QThetaNumber(r.a, r.b - d, params.m)
-        digits.append(d)
-        pts.append(x)
-    return DigitSequence(tuple(digits), x.is_zero), pts
 
 
 def float_digit_run(x0: float, count: int, params: ThetaParams):
@@ -164,10 +143,9 @@ def sample_orbit(
                 u = rng.random()
             x0 = u * params.theta
     if backend in ("exact", "auto") and isinstance(x0, (QThetaNumber, Fraction, int)):
-        xq = x0 if isinstance(x0, QThetaNumber) else QThetaNumber(Fraction(x0), Fraction(0), params.m)
-        if xq.sign() <= 0 or (params.theta_exact - xq).sign() < 0:
+        digits, pts = _exact_orbit(x0, length, params)
+        if pts[0].is_zero:
             raise DomainError("x0 outside (0, theta]")
-        digits, pts = _exact_orbit(xq, length, params)
         return OrbitSample(digits=digits, points=tuple(pts))
     digits, pts = float_digit_run(float(x0), length, params)
     terminated = digits.size < length
@@ -199,13 +177,10 @@ class ExactOrbitStats:
 def exact_orbit_statistics(x0, n: int, params: ThetaParams) -> ExactOrbitStats:
     if n < 1:
         raise ValueError("n must be >= 1")
-    xq = x0 if isinstance(x0, QThetaNumber) else QThetaNumber(Fraction(x0), Fraction(0), params.m)
-    digits, pts = _exact_orbit(xq, n, params)
+    digits, pts = _exact_orbit(x0, n, params)
     if len(digits) < n:
         raise TerminationError(f"expansion of {x0} terminated after {len(digits)} digits")
-    cs = convergents(digits, params)
-    q_n = cs[-1].q
-    q_nm1 = cs[-2].q if n >= 2 else QThetaNumber.from_rational(1, params.m)
+    q_nm1, q_n = _convergent_table(digits.digits, params.m)[1][-2:]
     log_qn = log_qtheta(q_n)
     levy = (log_qn + log_qtheta(q_n + params.theta_exact * q_nm1)) / n
     tail = pts[n]
@@ -238,9 +213,8 @@ def check_cylinder_bounds(x0, n: int, params: ThetaParams) -> bool:
     digits = expand(x0, n, params, backend="exact")
     if len(digits) < n:
         raise TerminationError("expansion too short")
-    meas = cylinder_measure(digits, params)
-    meas_q = QThetaNumber(meas, Fraction(0), params.m)
-    q_n = convergents(digits, params)[-1].q
+    meas_q = _as_qtheta(cylinder_measure(digits, params), params)
+    q_n = _convergent_table(digits.digits, params.m)[1][-1]
     upper = (q_n * q_n).reciprocal()
     lower = (q_n * q_n * (1 + params.theta_exact)).reciprocal()
     return (meas_q - lower).sign() > 0 and (upper - meas_q).sign() > 0
@@ -248,14 +222,14 @@ def check_cylinder_bounds(x0, n: int, params: ThetaParams) -> bool:
 
 def check_error_bounds(x0, n: int, params: ThetaParams) -> bool:
     """Exact 1/(q_n(q_{n+1}+theta*q_n)) <= |x - p_n/q_n| <= 1/(q_n q_{n+1})."""
-    xq = x0 if isinstance(x0, QThetaNumber) else QThetaNumber(Fraction(x0), Fraction(0), params.m)
-    digits = expand(xq, n + 1, params, backend="exact")
+    digits, pts = _exact_orbit(x0, n + 1, params)
+    if pts[0].is_zero:
+        raise DomainError("cannot expand x = 0")
     if len(digits) < n + 1:
         raise TerminationError("expansion too short")
-    cs = convergents(digits, params)
-    p_n, q_n = cs[n - 1].p, cs[n - 1].q
-    q_np1 = cs[n].q
-    err = xq - p_n / q_n
+    ps, qs = _convergent_table(digits.digits, params.m)
+    p_n, q_n, q_np1 = ps[-2], qs[-2], qs[-1]
+    err = pts[0] - p_n / q_n
     if err.sign() < 0:
         err = -err
     lower = (q_n * (q_np1 + params.theta_exact * q_n)).reciprocal()
@@ -351,7 +325,6 @@ class ErgodicReport:
 
     m: int
     seed: int
-    rng_family: str
     n_orbits: int
     orbit_length: int
     exact_seeds: tuple
@@ -371,7 +344,7 @@ class ErgodicReport:
         return {
             "m": self.m,
             "seed": self.seed,
-            "rng_family": self.rng_family,
+            "rng_family": "philox",
             "n_orbits": self.n_orbits,
             "orbit_length": self.orbit_length,
             "exact_seeds": [str(s) for s in self.exact_seeds],
@@ -402,7 +375,6 @@ def ergodic_report(
     float_digit_target: int = 1_050_000,
     float_orbit_length: int = 65_536,
     checkpoints=(1000, 10_000, 100_000),
-    rng_family: str = "philox",
     max_denominator: int = 10**6,
 ) -> ErgodicReport:
     """Run the full ergodic experiment for one m, deterministically.
@@ -416,7 +388,7 @@ def ergodic_report(
     from .expansion import new_params
 
     params = new_params(m)
-    cfg = RngConfig(seed=seed, family=rng_family)
+    cfg = RngConfig(seed=seed)
 
     seeds = []
     levy_vals = []
@@ -472,7 +444,6 @@ def ergodic_report(
     return ErgodicReport(
         m=m,
         seed=seed,
-        rng_family=rng_family,
         n_orbits=n_seeds,
         orbit_length=orbit_length,
         exact_seeds=tuple(seeds),

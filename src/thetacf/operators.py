@@ -191,7 +191,6 @@ class OperatorConfig:
 
     degree: int = 64
     series_cutoff_tolerance: float = 1e-13
-    derivative_method: str = "spectral"
     tail_fit_degree: int = 8
     max_branches: int = 262_144
 
@@ -200,8 +199,6 @@ class OperatorConfig:
             raise ValueError("degree must be >= 8")
         if not (0.0 < self.series_cutoff_tolerance <= 1e-6):
             raise ValueError("series_cutoff_tolerance must lie in (0, 1e-6]")
-        if self.derivative_method != "spectral":
-            raise ValueError("only spectral differentiation is implemented")
         if not (3 <= self.tail_fit_degree <= 16):
             raise ValueError("tail_fit_degree must lie in [3, 16]")
 

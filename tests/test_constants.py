@@ -113,6 +113,11 @@ class TestBeta:
     def test_frozen_values(self):
         for m, ref in ov.BETA.items():
             assert levy_beta(new_params(m), 1e-12) == pytest.approx(ref, abs=1e-11)
+            # every scheme meets the requested tolerance on beta itself, not
+            # only on the integral before the division by log(1+1/m)
+            for method in ("split", "series", "logweight"):
+                assert levy_beta(new_params(m), 1e-10, method=method) == pytest.approx(ref, abs=1e-10)
+            assert constants_report(m, 1e-10).entropy == pytest.approx(2.0 * ref, abs=1e-10)
 
     def test_positive(self):
         for m in (2, 3, 5, 10, 17):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle_values as ov
 from thetacf import (
@@ -22,6 +24,7 @@ from thetacf import (
     gauss_map_apply,
     new_params,
     reconstruct,
+    sample_orbit,
 )
 
 P2 = new_params(2)
@@ -305,3 +308,39 @@ def test_digit_sequence_validation():
         DigitSequence((0, 2))
     seq = DigitSequence((3, 4), terminated=True)
     assert len(seq) == 2 and list(seq) == [3, 4]
+
+
+@st.composite
+def orbit_starts(draw):
+    """(x, params): a rational or surd (b != 0) point inside (0, theta)."""
+    params = new_params(draw(st.sampled_from([2, 3, 5, 10, 17])))
+    u = draw(st.floats(min_value=0.001, max_value=0.999))
+    surd = st.fractions(min_value=-3, max_value=3, max_denominator=50).filter(bool)
+    b = draw(st.one_of(st.just(Fraction(0)), surd))
+    a = Fraction((u - float(b)) * params.theta).limit_denominator(10**6)
+    x = QThetaNumber(a, b, params.m)
+    assume(x.sign() > 0 and x <= params.theta_exact)
+    return x, params
+
+
+@given(orbit_starts())
+@settings(max_examples=60, deadline=None)
+def test_exact_orbit_kernel_agrees_across_views(start):
+    x, params = start
+    n = 15
+    seq = expand(x, n, params, backend="exact")
+    sample = sample_orbit(x, n, params, backend="exact")
+    assert sample.digits == seq
+    points = sample.points
+    assert len(points) == len(seq) + 1 and points[0] == x
+    assert seq.terminated == points[-1].is_zero
+    for p in points:
+        assert p.sign() >= 0 and p <= params.theta_exact
+    y = x
+    for k, d in enumerate(seq.digits):
+        assert d >= params.m
+        assert digit_index(y, params) == d
+        y = gauss_map_apply(y, params)
+        assert y == points[k + 1]
+    for k in range(1, len(seq) + 1):
+        assert reconstruct(seq.digits[:k], params, tail=points[k]) == x

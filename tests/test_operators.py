@@ -78,8 +78,6 @@ class TestGridFunction:
             OperatorConfig(series_cutoff_tolerance=1e-3)
         with pytest.raises(ValueError):
             OperatorConfig(series_cutoff_tolerance=0.0)
-        with pytest.raises(ValueError):
-            OperatorConfig(derivative_method="finite")
 
 
 class TestBranches:
