@@ -39,7 +39,6 @@ from .expansion import (
 )
 from .constants import (
     ConstantsReport,
-    GammaTheta,
     QuadratureError,
     constants_report,
     contraction_km,

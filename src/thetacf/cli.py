@@ -36,8 +36,7 @@ from .expansion import (
     DomainError,
     QThetaNumber,
     TerminationError,
-    convergents,
-    cylinder,
+    _table_and_cylinder,
     cylinder_measure,
     expand,
     new_params,
@@ -182,20 +181,19 @@ def cmd_expand(args) -> int:
         seq = expand(x, args.digits, params, backend="exact")
     else:
         seq = expand(float(x), args.digits, params, backend="float")
-    cs = convergents(seq, params)
+    ps, qs, cyl = _table_and_cylinder(seq, params)
     conv_rows = []
-    for pair in cs:
-        ratio = pair.p / pair.q
+    for n in range(1, len(seq) + 1):
+        ratio = ps[n + 1] / qs[n + 1]
         row = {
-            "n": pair.n,
-            "p": qtheta_to_dict(pair.p),
-            "q": qtheta_to_dict(pair.q),
+            "n": n,
+            "p": qtheta_to_dict(ps[n + 1]),
+            "q": qtheta_to_dict(qs[n + 1]),
             "ratio_float": float(ratio),
         }
         if args.backend == "exact":
             row["error_float"] = float(x - ratio)
         conv_rows.append(row)
-    cyl = cylinder(seq, params)
     measure = cylinder_measure(cyl, params)
     payload = _envelope(
         "expand",

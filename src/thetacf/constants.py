@@ -20,7 +20,7 @@ termwise series) provide independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +30,6 @@ from .expansion import DigitError, DomainError, ThetaParams, new_params
 
 __all__ = [
     "QuadratureError",
-    "GammaTheta",
     "ConstantsReport",
     "gamma_cdf",
     "gk_limit_cdf",
@@ -83,23 +82,6 @@ def invariant_density_lambda(x, params: ThetaParams):
     arr = _check_domain(x, params)
     out = (1.0 / params.m) / ((1.0 + params.theta * arr) * params.log_normalizer)
     return float(out) if np.isscalar(x) else out
-
-
-@dataclass(frozen=True)
-class GammaTheta:
-    """The invariant probability measure, bundled with its normalizer."""
-
-    params: ThetaParams
-    normalizer: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "normalizer", self.params.log_normalizer)
-
-    def cdf(self, x):
-        return gamma_cdf(x, self.params)
-
-    def density_lambda(self, x):
-        return invariant_density_lambda(x, self.params)
 
 
 def digit_law(k, params: ThetaParams):

@@ -18,11 +18,14 @@ theta^2 reduces to the rational 1/m, so the representation is closed
 under +, -, *, and reciprocals.  Identity-grade checks must use the
 exact backend.
 
-The exact map lives in one place: ``_exact_orbit`` checks its input once
-and returns the digits and every orbit point, at one reciprocal and one
-exact floor per step, and ``_convergent_table`` builds p_k, q_k (seeds
-included) in one pass.  Every exact function here and in ``montecarlo``
-is a view on these two.
+Each backend's map lives in one place.  ``_exact_orbit`` checks its
+input once and returns the digits and every orbit point, at one
+reciprocal and one exact floor per step, and ``_convergent_table``
+builds p_k, q_k (seeds included) in one pass.  ``_float_orbit`` is the
+float counterpart of ``_exact_orbit``: one checked loop whose digits
+are max(m, floor(1/(x*theta))).  ``_orbit`` picks the kernel for a
+backend.  Digits, map images, expansions, convergents, cylinders and
+the orbit samplers in ``montecarlo`` are all views on these kernels.
 """
 
 from __future__ import annotations
@@ -84,6 +87,10 @@ INFINITE_DIGIT = math.inf
 
 #: Absolute slack when validating float points against [0, theta].
 _FLOAT_SLACK = 1e-12
+
+#: Float points need x*theta above this, so r = 1/(x*theta) < 2**63 and
+#: digits fit int64; fl(1/y) >= 2**63 exactly when y <= 2**-63.
+_FLOAT_MIN_XTHETA = 2.0**-63
 
 Rational = Union[int, Fraction]
 
@@ -474,39 +481,60 @@ def _exact_orbit(x, n: int, params: ThetaParams) -> tuple[DigitSequence, list[QT
     return DigitSequence(tuple(digits), x.is_zero), points
 
 
+def _float_orbit(x, n: int, params: ThetaParams) -> tuple[list[int], list[float]]:
+    """Up to n float digits of x and the orbit points x, T(x), ..., one per digit.
+
+    Only the input is checked: it must lie in [0, theta] and give
+    r = 1/(x*theta) below 2**63, so digits fit int64.  After one step r
+    stays below about 2**53, because T(x) is 0 or at least theta*ulp(r).
+    The digit max(m, floor(r)) is clamped at m since theta^2*m = 1 only
+    holds to rounding near x = theta; a step that dips below 0 there
+    gives 0.  The walk stops when it reaches 0.
+    """
+    x = _validate_float_point(float(x), params)
+    th, m = params.theta, params.m
+    if x * th <= _FLOAT_MIN_XTHETA:
+        if x > 0.0:
+            raise DomainError(f"x={x!r} too small for the float backend")
+        n = 0
+    digits, points = [], [x]
+    add_digit, add_point = digits.append, points.append
+    for _ in range(n):
+        r = 1.0 / (x * th)
+        d = int(r)  # floor, as r > 0
+        if d < m:
+            d = m
+        add_digit(d)
+        x = th * (r - d)
+        if x <= 0.0:
+            add_point(0.0)
+            break
+        add_point(x)
+    return digits, points
+
+
+def _orbit(x, n: int, params: ThetaParams, backend: str) -> tuple[DigitSequence, list]:
+    """Up to n digits of x and its orbit points, from the backend's kernel."""
+    x, kind = _resolve_backend(x, backend)
+    if kind == "exact":
+        return _exact_orbit(x, n, params)
+    digits, points = _float_orbit(x, n, params)
+    return DigitSequence(tuple(digits), points[-1] == 0.0), points
+
+
 def digit_index(x, params: ThetaParams, backend: str = "auto"):
     """floor(1/(x*theta)) for x in (0, theta]; INFINITE_DIGIT at x = 0.
 
     Always >= m on the domain.  The float path clamps to m near the
     right endpoint, where theta^2*m = 1 only holds to rounding.
     """
-    x, kind = _resolve_backend(x, backend)
-    if kind == "exact":
-        digits = _exact_orbit(x, 1, params)[0].digits
-        return digits[0] if digits else INFINITE_DIGIT
-    x = _validate_float_point(x, params)
-    if x == 0.0:
-        return INFINITE_DIGIT
-    r = 1.0 / (x * params.theta)
-    if not math.isfinite(r):
-        raise DomainError(f"x={x!r} too small for the float backend")
-    return max(params.m, math.floor(r))
+    digits = _orbit(x, 1, params, backend)[0].digits
+    return digits[0] if digits else INFINITE_DIGIT
 
 
 def gauss_map_apply(x, params: ThetaParams, backend: str = "auto"):
     """One step of the expansion map T(x) = 1/x - theta*floor(1/(x*theta))."""
-    x, kind = _resolve_backend(x, backend)
-    if kind == "exact":
-        return _exact_orbit(x, 1, params)[1][-1]
-    x = _validate_float_point(x, params)
-    if x == 0.0:
-        return 0.0
-    r = 1.0 / (x * params.theta)
-    if not math.isfinite(r):
-        raise DomainError(f"x={x!r} too small for the float backend")
-    d = max(params.m, math.floor(r))
-    # 1/x - theta*d = theta*(r - d); stays inside [0, theta) by construction
-    return min(max(params.theta * (r - d), 0.0), params.theta)
+    return _orbit(x, 1, params, backend)[1][-1]
 
 
 def expand(x, n_max: int, params: ThetaParams, backend: str = "auto") -> DigitSequence:
@@ -518,36 +546,17 @@ def expand(x, n_max: int, params: ThetaParams, backend: str = "auto") -> DigitSe
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    x, kind = _resolve_backend(x, backend)
-    if kind == "exact":
-        seq, points = _exact_orbit(x, n_max, params)
-        if points[0].is_zero:
-            raise DomainError("cannot expand x = 0")
-        return seq
-    x = _validate_float_point(x, params)
-    if x == 0.0:
+    seq, points = _orbit(x, n_max, params, backend)
+    if not seq.digits:
         raise DomainError("cannot expand x = 0")
-    if n_max > FLOAT_DIGIT_HORIZON:
+    if n_max > FLOAT_DIGIT_HORIZON and isinstance(points[0], float):
         warnings.warn(
             f"float backend digits are unreliable beyond {FLOAT_DIGIT_HORIZON} "
             "iterations; use the exact backend for identity checks",
             RuntimeWarning,
             stacklevel=2,
         )
-    digits = []
-    terminated = False
-    th = params.theta
-    for _ in range(n_max):
-        r = 1.0 / (x * th)
-        if not math.isfinite(r):
-            raise DomainError("float orbit underflowed")
-        d = max(params.m, math.floor(r))
-        digits.append(d)
-        x = th * (r - d)
-        if x <= 0.0:
-            terminated = True
-            break
-    return DigitSequence(tuple(digits), terminated)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +638,8 @@ def approximation_error(x: QThetaNumber, n: int, params: ThetaParams) -> QThetaN
     return err
 
 
-def cylinder(digits, params: ThetaParams) -> Cylinder:
-    """Fundamental interval of the given digit prefix, exact endpoints.
+def _table_and_cylinder(digits, params: ThetaParams):
+    """Convergent table of a digit prefix and its cylinder, from one pass.
 
     Endpoints are the fraction values at tail 0 and tail theta; their
     order flips with the parity of the prefix length.
@@ -641,7 +650,12 @@ def cylinder(digits, params: ThetaParams) -> Cylinder:
     e1 = _with_tail(ps, qs, params.theta_exact)
     lower, upper = (e0, e1) if e0 < e1 else (e1, e0)
     ds = digits if isinstance(digits, DigitSequence) else DigitSequence(seq)
-    return Cylinder(digits=ds, lower=lower, upper=upper)
+    return ps, qs, Cylinder(digits=ds, lower=lower, upper=upper)
+
+
+def cylinder(digits, params: ThetaParams) -> Cylinder:
+    """Fundamental interval of the given digit prefix, exact endpoints."""
+    return _table_and_cylinder(digits, params)[2]
 
 
 def cylinder_measure(cyl, params: ThetaParams) -> Fraction:

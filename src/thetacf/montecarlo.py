@@ -8,6 +8,11 @@ and the divergence trend of the arithmetic mean.  Individual float digit
 sequences drift from the true ones after ~40 steps but remain
 distributionally faithful, so they are never used for exactness claims.
 
+This module has no orbit loop of its own: ``sample_orbit`` and
+``float_digit_run`` are views on the kernels in ``expansion``, so both
+backends check the start point against [0, theta] the same way and call
+an orbit terminated when it reaches 0.
+
 All randomness flows from one 64-bit seed through named SeedSequence
 keys, so reports are byte-identical across runs and worker counts.
 """
@@ -24,12 +29,14 @@ from . import constants as _constants
 from .expansion import (
     DigitSequence,
     DomainError,
-    QThetaNumber,
     TerminationError,
     ThetaParams,
     _as_qtheta,
     _convergent_table,
     _exact_orbit,
+    _float_orbit,
+    _orbit,
+    _table_and_cylinder,
     cylinder_measure,
     expand,
     log_qtheta,
@@ -99,26 +106,9 @@ class OrbitSample:
 
 
 def float_digit_run(x0: float, count: int, params: ThetaParams):
-    """Fast float orbit: digits and points, stopping early if the orbit dies."""
-    th = params.theta
-    m = params.m
-    digits = np.empty(count, dtype=np.int64)
-    pts = np.empty(count + 1, dtype=np.float64)
-    x = float(x0)
-    pts[0] = x
-    k = 0
-    while k < count:
-        if x <= 0.0 or x < 1e-300:
-            break
-        r = 1.0 / (x * th)
-        d = int(r)
-        if d < m:
-            d = m
-        digits[k] = d
-        x = th * (r - d)
-        k += 1
-        pts[k] = x
-    return digits[:k], pts[: k + 1]
+    """Float orbit as arrays: int64 digits and the points, stopping at 0."""
+    digits, points = _float_orbit(x0, count, params)
+    return np.array(digits, dtype=np.int64), np.array(points)
 
 
 def sample_orbit(
@@ -142,14 +132,10 @@ def sample_orbit(
             while u == 0.0:
                 u = rng.random()
             x0 = u * params.theta
-    if backend in ("exact", "auto") and isinstance(x0, (QThetaNumber, Fraction, int)):
-        digits, pts = _exact_orbit(x0, length, params)
-        if pts[0].is_zero:
-            raise DomainError("x0 outside (0, theta]")
-        return OrbitSample(digits=digits, points=tuple(pts))
-    digits, pts = float_digit_run(float(x0), length, params)
-    terminated = digits.size < length
-    return OrbitSample(digits=DigitSequence(tuple(int(d) for d in digits), terminated), points=tuple(pts))
+    digits, pts = _orbit(x0, length, params, backend)
+    if not digits.digits:
+        raise DomainError("x0 outside (0, theta]")
+    return OrbitSample(digits=digits, points=tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +199,9 @@ def check_cylinder_bounds(x0, n: int, params: ThetaParams) -> bool:
     digits = expand(x0, n, params, backend="exact")
     if len(digits) < n:
         raise TerminationError("expansion too short")
-    meas_q = _as_qtheta(cylinder_measure(digits, params), params)
-    q_n = _convergent_table(digits.digits, params.m)[1][-1]
+    _, qs, cyl = _table_and_cylinder(digits, params)
+    meas_q = _as_qtheta(cylinder_measure(cyl, params), params)
+    q_n = qs[-1]
     upper = (q_n * q_n).reciprocal()
     lower = (q_n * q_n * (1 + params.theta_exact)).reciprocal()
     return (meas_q - lower).sign() > 0 and (upper - meas_q).sign() > 0

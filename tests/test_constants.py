@@ -12,7 +12,6 @@ import oracle_values as ov
 from thetacf import (
     DigitError,
     DomainError,
-    GammaTheta,
     constants_report,
     contraction_km,
     contraction_q,
@@ -55,13 +54,6 @@ class TestGammaCdf:
             xs = np.linspace(0.0, params.theta, 1000)
             dev = np.max(np.abs(gk_limit_cdf(xs, params) - gamma_cdf(xs, params)))
             assert dev <= 1e-14
-
-    def test_wrapper_class(self):
-        g = GammaTheta(P2)
-        assert g.normalizer == pytest.approx(math.log(1.5), abs=1e-16)
-        assert g.cdf(0.5) == gamma_cdf(0.5, P2)
-        total = integrate.quad(lambda x: g.density_lambda(x) / P2.theta, 0, P2.theta)[0]
-        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_invariance_under_preimages(self):
         # sum_i [G(1/(i*theta)) - G(1/(i*theta + x))] telescopes back to G(x)

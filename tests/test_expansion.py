@@ -26,6 +26,7 @@ from thetacf import (
     reconstruct,
     sample_orbit,
 )
+from thetacf.montecarlo import float_digit_run
 
 P2 = new_params(2)
 P3 = new_params(3)
@@ -83,8 +84,10 @@ class TestDigitIndex:
         assert digit_index(0.5, P2) == 2
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            digit_index(0.9, P2)
+        # 1e-25 is inside [0, theta] but 1/(x*theta) does not fit int64
+        for bad in (0.9, 1e-25):
+            with pytest.raises(DomainError):
+                digit_index(bad, P2)
         with pytest.raises(DomainError):
             digit_index(frac_point(9, 10, P2), P2)
 
@@ -147,6 +150,11 @@ class TestExpand:
             expand(0.5, 41, P2, backend="float")
         seq = expand(0.5, 10, P2, backend="float")
         assert seq.digits[:3] == (2, 2, 4)
+
+    def test_float_domain_errors(self):
+        for bad in (0.0, 0.9, 1e-25):
+            with pytest.raises(DomainError):
+                expand(bad, 5, P2, backend="float")
 
     def test_eventually_periodic_rational(self):
         # the orbit of 1/2 reaches a 2-cycle: T^3(1/2) = T(1/2) = 2 - 2*theta
@@ -344,3 +352,33 @@ def test_exact_orbit_kernel_agrees_across_views(start):
         assert y == points[k + 1]
     for k in range(1, len(seq) + 1):
         assert reconstruct(seq.digits[:k], params, tail=points[k]) == x
+
+
+@given(
+    st.sampled_from([2, 3, 5, 10, 17]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_float_orbit_kernel_agrees_across_views(m, u, n):
+    params = new_params(m)
+    x = u * params.theta
+    if x * params.theta <= 2.0**-63:  # 0, or 1/(x*theta) beyond int64
+        with pytest.raises(DomainError):
+            expand(x, n, params, backend="float")
+        return
+    digits, points = float_digit_run(x, n, params)
+    assert 1 <= len(digits) <= n and len(points) == len(digits) + 1
+    assert np.all(digits >= m)
+    assert np.all((points >= 0.0) & (points <= params.theta))
+    seq = expand(x, n, params, backend="float")
+    assert seq.digits == tuple(digits.tolist())
+    assert seq.terminated == (points[-1] == 0.0)
+    sample = sample_orbit(x, n, params, backend="float")
+    assert sample.digits == seq
+    assert sample.points == tuple(points.tolist())
+    y = x
+    for k, d in enumerate(seq.digits):
+        assert digit_index(y, params, backend="float") == d
+        y = gauss_map_apply(y, params, backend="float")
+        assert y == points[k + 1]

@@ -1,5 +1,6 @@
 """Orbit ensembles: determinism, exact bounds, and limit-law statistics."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 import oracle_values as ov
 from thetacf import (
+    DomainError,
     QThetaNumber,
     RngConfig,
     TerminationError,
@@ -68,10 +70,47 @@ class TestSampling:
             assert 0 < x < Fraction(70711, 100000) + Fraction(1, 10)
             assert x.numerator**2 * 2 < x.denominator**2
 
+    def test_float_start_checked_like_exact(self):
+        # outside [0, theta], zero, and a start whose 1/(x*theta) overflows int64
+        for bad in (5.0, 0.0, 1e-25):
+            with pytest.raises(DomainError):
+                sample_orbit(bad, 5, P2, backend="float")
+        with pytest.raises(DomainError):
+            float_digit_run(1e-25, 5, P2)
+        digits, pts = float_digit_run(0.0, 5, P2)
+        assert digits.size == 0 and pts.tolist() == [0.0]
+
     def test_float_run_digit_law_shape(self):
         digits, pts = float_digit_run(0.3, 5000, P2)
         assert digits.min() >= 2
         assert np.all((pts >= 0) & (pts <= P2.theta))
+
+
+#: sha256 of float_digit_run output, digits as <i8 then points as <f8,
+#: over the four starts ergodic_report draws at seed 3, 65 536 digits each.
+#: A deliberate change to the float sample stream needs a version bump.
+FLOAT_STREAM_SHA256 = {
+    2: "44060e1ea88f4a1eea92e1d14b1569856c049559cbc3a4a3a2bf058b86925349",
+    3: "7cead91f2294a8b569124af12e7524f2c439703201c609d605770c8a8419a483",
+    10: "280c40e3f3b9282d1d96b188994c55bb0ed0cb4b13d9ca263cc724ec4263e4b7",
+    101: "132c7f24200bf67a9307affb31a0a90b569242947338dda4065726cda80fc67c",
+}
+
+
+def test_float_sample_stream_frozen():
+    cfg = RngConfig(seed=3)
+    for m, want in FLOAT_STREAM_SHA256.items():
+        params = new_params(m)
+        h = hashlib.sha256()
+        for j in range(4):
+            gen = cfg.generator(1, j)
+            u = gen.random()
+            while u == 0.0:
+                u = gen.random()
+            digits, points = float_digit_run(u * params.theta, 65_536, params)
+            h.update(digits.astype("<i8").tobytes())
+            h.update(points.astype("<f8").tobytes())
+        assert h.hexdigest() == want, f"float sample stream changed at m={m}"
 
 
 class TestExactStatistics:
