@@ -12,9 +12,14 @@ operator: k_m = 1/(m+1) for the variation of monotone functions and the
 series constant q for Lipschitz seminorms.
 
 beta is an integral with a logarithmic endpoint singularity; the default
-scheme splits the interval and handles the singular half analytically,
-while two further schemes (a log-weighted Gauss-Kronrod rule and a fully
-termwise series) provide independent cross-checks.
+scheme splits the interval, handles the singular half analytically and
+the smooth half by a fixed Gauss-Legendre rule, while two further schemes
+(Gauss-Laguerre after x = theta*exp(-s), which absorbs the logarithm into
+the weight, and a fully termwise series) provide independent
+cross-checks.  Every scheme reports an error bound that includes the
+float rounding of its sums.  The geometric mean sums the digit law
+directly and integrates the tail beyond the cutoff as a convergent
+series in 1/x.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .expansion import DigitError, DomainError, ThetaParams, new_params
 
@@ -104,39 +109,72 @@ def digit_law(k, params: ThetaParams):
 
 # Each scheme bounds the error of the integral, which is then divided by
 # L = log(1+theta^2) ~ 1/m; an integral budget of tol*L/2 makes beta meet
-# tol/2 and the entropy 2*beta meet tol.  Achieved errors are on beta's scale.
+# tol/2 and the entropy 2*beta meet tol.  Achieved errors are on beta's
+# scale and count the float rounding of the sums and of the division by L.
+
+_EPS = float(np.finfo(np.float64).eps)
+_LEGENDRE_NODES = 24
+_LEGENDRE_RHO = 4.0  # Bernstein ellipse of [theta/2, theta] kept clear of x = 0
+_LAGUERRE_NODES = (40, 60)
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(rule, n: int):
+    """Nodes and weights of a numpy Gauss rule, built once per process."""
+    return rule(n)
+
+
+def _beta_from_integral(integral: float, err: float, params: ThetaParams, tol: float) -> tuple[float, float]:
+    """beta = -integral/L with its achieved error; raises past tol/2."""
+    beta = -integral / params.log_normalizer
+    achieved = err / params.log_normalizer + 2.0 * _EPS * abs(beta)
+    if achieved > tol / 2.0:
+        raise QuadratureError(f"beta quadrature achieved {achieved:.2e} > budget {tol / 2.0:.2e}")
+    return beta, achieved
 
 
 def _beta_split(params: ThetaParams, tol: float) -> tuple[float, float]:
-    """Split scheme: analytic series on (0, theta/2], adaptive rule on the rest.
+    """Split scheme: analytic series on (0, theta/2], Gauss-Legendre on the rest.
 
     On the singular half expand 1/(1+theta*x) geometrically and use
     int_0^c x^k log x dx = c^(k+1) (log c/(k+1) - 1/(k+1)^2) termwise;
     the term ratio is theta^2/2 = 1/(2m), so the series is geometric.
+    On [theta/2, theta] the integrand is analytic inside the Bernstein
+    ellipse rho = 4 of the interval (x = 0 maps to -3), so the 24-node
+    rule has the a-priori bound (64/15) M rho^-48 / (rho^2 - 1) times the
+    half-width (Trefethen, Approximation Theory and Approximation
+    Practice, Thm 19.3), near 1e-29.
     """
     th = params.theta
     budget = tol * params.log_normalizer / 2.0
     c = th / 2.0
     left = 0.0
+    size = 0.0
     k = 0
     logc = math.log(c)
     while True:
         g = c ** (k + 1) * (logc / (k + 1) - 1.0 / (k + 1) ** 2)
         term = th * (-th) ** k * g
         left += term
+        size += abs(term)
         bound = abs(term) * (th * c) / (1.0 - th * c)
         if bound < budget / 4.0 and k >= 4:
             break
         k += 1
         if k > 10_000:
             raise QuadratureError("series for the singular half did not converge")
-    right, err = integrate.quad(
-        lambda x: th * math.log(x) / (1.0 + th * x), c, th, epsabs=budget / 4.0, epsrel=1e-13
-    )
-    achieved = bound + err
-    if achieved > budget:
-        raise QuadratureError(f"beta quadrature achieved {achieved:.2e} > budget {budget:.2e}")
-    return -(left + right) / params.log_normalizer, achieved / params.log_normalizer
+    y, w = _gauss_rule(np.polynomial.legendre.leggauss, _LEGENDRE_NODES)
+    half = (th - c) / 2.0
+    x = (th + c) / 2.0 + half * y
+    fw = w * (th * np.log(x) / (1.0 + th * x))
+    right = half * float(np.sum(fw))
+    # On the ellipse |x| >= half*(3 - (rho + 1/rho)/2), |x| < 1, Re x > 0
+    # and Re(1 + theta*x) >= 1, so |f| <= theta*(|log |x|_min| + pi/2).
+    rho = _LEGENDRE_RHO
+    M = th * (abs(math.log(half * (3.0 - (rho + 1.0 / rho) / 2.0))) + math.pi / 2.0)
+    rule_err = half * 64.0 / 15.0 * M * rho ** (-2 * _LEGENDRE_NODES) / (rho * rho - 1.0)
+    rounding = _EPS * ((k + 6) * size + (_LEGENDRE_NODES + 8) * half * float(np.sum(np.abs(fw))))
+    return _beta_from_integral(left + right, bound + rule_err + rounding, params, tol)
 
 
 def _beta_series(params: ThetaParams, tol: float) -> tuple[float, float]:
@@ -145,29 +183,40 @@ def _beta_series(params: ThetaParams, tol: float) -> tuple[float, float]:
     budget = tol * params.log_normalizer / 2.0
     logth = -0.5 * math.log(m)
     s = 0.0
+    size = 0.0
     k = 0
     while True:
         term = (-1.0) ** k * m ** (-(k + 1)) * (logth / (k + 1) - 1.0 / (k + 1) ** 2)
         s += term
+        size += abs(term)
         nxt = m ** (-(k + 2)) * (abs(logth) / (k + 2) + 1.0 / (k + 2) ** 2)
-        if nxt < budget and k >= 3:
+        if nxt < budget / 2.0 and k >= 3:  # the other half is for rounding
             break
         k += 1
         if k > 10_000:
             raise QuadratureError("termwise beta series did not converge")
-    return -s / params.log_normalizer, nxt / params.log_normalizer
+    return _beta_from_integral(s, nxt + _EPS * (k + 6) * size, params, tol)
 
 
 def _beta_logweight(params: ThetaParams, tol: float) -> tuple[float, float]:
-    """QUADPACK rule with explicit log(x) endpoint weight."""
-    th = params.theta
-    budget = tol * params.log_normalizer / 2.0
-    val, err = integrate.quad(
-        lambda x: th / (1.0 + th * x), 0.0, th, weight="alg-loga", wvar=(0.0, 0.0)
-    )
-    if err > budget:
-        raise QuadratureError(f"log-weight rule achieved {err:.2e} > budget {budget:.2e}")
-    return -val / params.log_normalizer, err / params.log_normalizer
+    """Gauss-Laguerre rule after x = theta*exp(-s), which puts log x into the weight.
+
+    The integral becomes theta^2 int_0^inf e^-s (log theta - s) / (1 + e^-s/m) ds.
+    With 1/(1 + e^-s/m) = 1 - e^-s/(m + e^-s) the first part is exactly
+    theta^2 (log theta - 1); the rules integrate the remainder, which is
+    of order 1/m.  |I_60 - I_40| estimates the error of the 40-node rule
+    and so bounds that of the 60-node one.
+    """
+    m = params.m
+    lt = math.log(params.theta)
+    sums = []
+    for n in _LAGUERRE_NODES:
+        s, w = _gauss_rule(np.polynomial.laguerre.laggauss, n)
+        e = np.exp(-s)
+        sums.append(float(np.sum(w * ((s - lt) * e / (m + e)))))  # positive terms: s >= 0 > log theta
+    integral = ((lt - 1.0) + sums[-1]) / m
+    rounding = _EPS * (2.0 * abs(lt - 1.0) + (_LAGUERRE_NODES[-1] + 8) * sums[-1])
+    return _beta_from_integral(integral, (abs(sums[-1] - sums[0]) + rounding) / m, params, tol)
 
 
 _BETA_METHODS = {"split": _beta_split, "series": _beta_series, "logweight": _beta_logweight}
@@ -206,6 +255,25 @@ def entropy(params: ThetaParams, tolerance: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log_tail_integral(a: float) -> tuple[float, float]:
+    """int_a^inf log(x) log1p(1/(x(x+2))) dx for a > 3, with a truncation bound.
+
+    log1p(1/(x(x+2))) = 2 log1p(1/x) - log1p(2/x) = sum_{n>=2} (-1)^n (2^n-2)/n x^-n
+    and int_a^inf log(x) x^-n dx = a^(1-n) (log a/(n-1) + 1/(n-1)^2), so the
+    integral is an alternating series whose terms fall by about 2/a; its
+    remainder is below the first term left out.
+    """
+    la = math.log(a)
+    total = 0.0
+    n = 2
+    while True:
+        term = (2.0**n - 2.0) / n * a ** (1 - n) * (la / (n - 1) + 1.0 / (n - 1) ** 2)
+        if term <= 1e-3 * _EPS * total:
+            return total, term
+        total += term if n % 2 == 0 else -term
+        n += 1
+
+
 def _khintchin_detailed(params: ThetaParams, tol: float) -> tuple[float, float]:
     m = params.m
     L = params.log_normalizer
@@ -218,22 +286,29 @@ def _khintchin_detailed(params: ThetaParams, tol: float) -> tuple[float, float]:
         wp = -(2.0 * x + 2.0) / (x * (x + 2.0)) ** 2
         return math.log1p(w) / x + math.log(x) * wp / (1.0 + w)
 
-    K = 20_000
-    epsabs = tol * L / 8.0
+    K = max(20_000, m)
     while True:
         k = np.arange(m, K + 1, dtype=np.float64)
-        direct = float(np.sum(np.log(k) * np.log1p(1.0 / (k * (k + 2.0)))))
+        # one rounding for the whole sum; each term is within 2 eps of its
+        # exact value (checked against mpmath for k up to 5e6)
+        direct = math.fsum((np.log(k) * np.log1p(1.0 / (k * (k + 2.0)))).tolist())
         a = float(K + 1)
-        integral, quad_err = integrate.quad(t, a, np.inf, epsabs=epsabs, limit=200)
+        integral, series_rem = _log_tail_integral(a)
         # Euler-Maclaurin through the first derivative term; the next
-        # correction is of order t'''(a) ~ log(a)/a^4, far below tol here.
+        # correction is of order t'''(a) ~ log(a)/a^5, well below rem.
         tail = integral + t(a) / 2.0 - t_prime(a) / 12.0
         rem = 6.0 * math.log(a) / a ** 4
-        value = math.exp((direct + tail) / L)
-        achieved = (quad_err + rem) / L * value  # tolerance is on the value itself
+        s = (direct + tail) / L
+        value = math.exp(s)
+        # The tolerance is on the value itself.  Rounding: 3 eps on the sum
+        # (terms, fsum, tail), then about eps*(2s + 1) relative from the
+        # rounding of L, the division and exp.
+        rounding = value * (3.0 * _EPS * (direct + tail) / L + _EPS * (2.0 * s + 1.0))
+        achieved = value * (series_rem + rem) / L + rounding
         if achieved <= tol:
             return value, achieved
-        epsabs = tol * L / (8.0 * value)
+        if rounding > tol:
+            raise QuadratureError(f"geometric-mean rounding {rounding:.2e} alone exceeds tolerance {tol:.2e}")
         K *= 2
         if K > 4_000_000:
             raise QuadratureError("geometric-mean series did not meet tolerance")
@@ -244,7 +319,9 @@ def khintchin_product(params: ThetaParams, tolerance: float = 1e-10) -> float:
 
     Equals exp(s) with s = sum_{k>=m} log(k) log(1+1/(k(k+2))) divided by
     log(1+theta^2); the sum is taken termwise (the exact digit-law mass
-    per k), with an Euler-Maclaurin tail.  Always >= m.
+    per k), with an Euler-Maclaurin tail whose integral is a series in
+    1/x.  Always >= m.  Raises QuadratureError where float rounding alone
+    exceeds ``tolerance`` (at 1e-10, from m = 3537 on).
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")

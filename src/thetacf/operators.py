@@ -26,7 +26,10 @@ tail moments sum_{i>N} P_i(x) u_i(x)^k are evaluated in closed form
 through Hurwitz zeta values.  The alternating-zeta form used here is
 cancellation-free, which keeps iterated applications stable; the cutoff
 index adapts until the estimated folding error meets the configured
-tolerance.
+tolerance.  The zeta values and alternating zeta sums, and the zeta and
+digamma differences of the distribution step, come from Euler-Maclaurin
+expansions at a >= N+1 >= 257 in numpy; the differences go through
+log1p/expm1, so they keep full relative accuracy however small the shift.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, zeta
 
 from . import constants as _constants
 from .expansion import (
@@ -250,6 +252,87 @@ def weight_normalization_residual(x: float, N: int, params: ThetaParams) -> floa
 
 
 # ---------------------------------------------------------------------------
+# Hurwitz zeta and digamma differences by Euler-Maclaurin
+# ---------------------------------------------------------------------------
+
+# B_2k/(2k)! and B_2k/(2k) for k = 1..8 (DLMF 24.2.1 table).  With a >= 256
+# and s <= 64 the first omitted Euler-Maclaurin term is below 1e-20 of the
+# value, so eight terms leave only rounding.
+_BERNOULLI = tuple(
+    Fraction(n, d)
+    for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+)
+_ZETA_COEF = tuple(float(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI, start=1))
+_DIGAMMA_COEF = tuple(float(b / (2 * k)) for k, b in enumerate(_BERNOULLI, start=1))
+_EM_MIN_A = 256.0
+
+
+def _check_em_argument(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if np.min(a) < _EM_MIN_A:
+        raise ValueError(f"Euler-Maclaurin helpers need a >= {_EM_MIN_A:g}")
+    return a
+
+
+@lru_cache(maxsize=128)
+def _zeta_terms(s: int) -> tuple:
+    """(p, c) with zeta(s, a) = sum c * a^(-p) up to the omitted terms (DLMF 25.11.5/6).
+
+    The terms are a^(1-s)/(s-1), a^(-s)/2 and B_2k/(2k)! (s)_(2k-1) a^(-s-2k+1).
+    """
+    if not 2 <= s <= 64:
+        raise ValueError("zeta order must lie in [2, 64]")
+    out = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
+    rising = float(s)  # (s)_1, then (s)_3, (s)_5, ...
+    for k, c in enumerate(_ZETA_COEF, start=1):
+        out.append((s + 2 * k - 1, c * rising))
+        rising *= (s + 2 * k - 1.0) * (s + 2 * k)
+    return tuple(out)
+
+
+def _zeta(s: int, a):
+    """Hurwitz zeta(s, a) for a >= 256, to a few ulps.
+
+    Horner in a^-2 over the Bernoulli terms, then one power a^-s.
+    """
+    a = _check_em_argument(a)
+    terms = _zeta_terms(s)
+    inv2 = 1.0 / (a * a)
+    acc = 0.0
+    for _, c in reversed(terms[2:]):
+        acc = acc * inv2 + c
+    return a ** (-float(s)) * (a * terms[0][1] + 0.5 + acc / a)
+
+
+def _zeta_diff(s: int, a, t):
+    """zeta(s, a) - zeta(s, a + t) for a >= 256 and t >= 0, without cancellation.
+
+    Each term c * a^-p of the expansion contributes
+    c * (a^-p - (a+t)^-p) = -c * a^-p * expm1(-p * log1p(t/a)).
+    """
+    a = _check_em_argument(a)
+    lg = np.log1p(np.asarray(t, dtype=float) / a)
+    total = 0.0
+    for p, c in reversed(_zeta_terms(s)):
+        total = total - c * a ** float(s - p) * np.expm1(-p * lg)
+    return a ** (-float(s)) * total
+
+
+def _digamma_diff(a, t):
+    """psi(a + t) - psi(a) for a >= 256 and t >= 0, without cancellation.
+
+    From psi(a) ~ log a - 1/(2a) - sum B_2k/(2k) a^(-2k) (DLMF 5.11.2),
+    with every difference written through log1p(t/a) as in _zeta_diff.
+    """
+    a = _check_em_argument(a)
+    lg = np.log1p(np.asarray(t, dtype=float) / a)
+    total = 0.0
+    for k in range(len(_DIGAMMA_COEF), 0, -1):
+        total = total - _DIGAMMA_COEF[k - 1] * a ** (-2.0 * k) * np.expm1(-2 * k * lg)
+    return lg - 0.5 / a * np.expm1(-lg) + total
+
+
+# ---------------------------------------------------------------------------
 # series engine: direct sum + analytic tail fold
 # ---------------------------------------------------------------------------
 
@@ -270,21 +353,33 @@ def _fit_near_zero(fun, umax: float, d: int):
     return coef, est, scale
 
 
-def _alternating_zeta(kplus2: int, a: np.ndarray) -> np.ndarray:
-    """sum_{j>=0} (-1)^j zeta(kplus2 + j, a), cancellation-free.
+@lru_cache(maxsize=64)
+def _alternating_coefficients(s: int) -> tuple:
+    """d_r, r = 0..16, with sum_{j>=0} (-1)^j zeta(s + j, a) = a^(1-s) sum_r d_r a^-r.
 
-    The terms drop by a factor ~1/a, so a handful of Hurwitz zeta
-    evaluations reach machine precision for a >= 2.
+    The Euler-Maclaurin terms of every order s + j, collected by their
+    power of 1/a; what is left out is of order a^-17 relative.
     """
-    total = np.zeros_like(a)
-    sign = 1.0
-    for j in range(0, 400):
-        term = zeta(kplus2 + j, a)
-        total += sign * term
-        if np.all(term <= 1e-19 * np.maximum(np.abs(total), 1e-300)):
-            break
-        sign = -sign
-    return total
+    d = [0.0] * 17
+    for j in range(17):
+        for p, c in _zeta_terms(s + j):
+            r = p - (s - 1)
+            if r <= 16:
+                d[r] += c if j % 2 == 0 else -c
+    return tuple(d)
+
+
+def _alternating_zeta(kplus2: int, a: np.ndarray) -> np.ndarray:
+    """sum_{j>=0} (-1)^j zeta(kplus2 + j, a) for a >= 256, cancellation-free.
+
+    One series in 1/a whose terms drop by a factor ~1/a, summed by Horner.
+    """
+    a = _check_em_argument(a)
+    inv = 1.0 / a
+    acc = 0.0
+    for d in reversed(_alternating_coefficients(kplus2)):
+        acc = acc * inv + d
+    return a ** (1.0 - kplus2) * acc
 
 
 def _tail_moments_u(params: ThetaParams, N: int, xs: np.ndarray, kmax: int) -> np.ndarray:
@@ -303,7 +398,7 @@ def _tail_moments_v(params: ThetaParams, N: int, xs: np.ndarray, kmax: int) -> n
     a = N + 1 + xs / th
     out = np.empty((xs.size, kmax + 1))
     for k in range(kmax + 1):
-        out[:, k] = th ** (-(k + 2)) * zeta(k + 2, a)
+        out[:, k] = th ** (-(k + 2)) * _zeta(k + 2, a)
     return out
 
 
@@ -323,7 +418,7 @@ def _choose_tail(fun, params: ThetaParams, config: OperatorConfig, kind: str):
         if kind == "U":
             weight = params.m / (N + 1.0)
         elif kind == "V":
-            weight = th ** (-2) * float(zeta(2, N + 1))
+            weight = th ** (-2) * float(_zeta(2, N + 1))
         elif kind == "gk":
             weight = 2.0 * d * d
         else:  # pragma: no cover
@@ -516,31 +611,31 @@ def markov_transition(x, intervals, params: ThetaParams) -> float:
 def _gk_step_values(Ffun, xs: np.ndarray, params: ThetaParams, config: OperatorConfig) -> np.ndarray:
     """One distribution-function step sum_i [F(1/(i*theta)) - F(1/(i*theta+x))].
 
-    The series is summed directly to N and the remainder is folded through
-    the local polynomial fit of F near 0: tail moment differences reduce
-    to digamma (k=1) and Hurwitz zeta (k>=2) values.
+    The series is summed directly to N, one difference per branch, and the
+    remainder is folded through the local polynomial fit of F near 0: tail
+    moment differences reduce to digamma (k=1) and Hurwitz zeta (k>=2)
+    differences.
     """
     th = params.theta
     N, coef, umax = _choose_tail(Ffun, params, config, "gk")
     i = np.arange(params.m, N + 1, dtype=float)
     F_at_zero_args = np.asarray(Ffun(np.clip(1.0 / (i * th), 0.0, th)), dtype=float)
-    base = float(np.sum(F_at_zero_args))
-    out = np.empty(xs.size)
     block = max(1, 65536 // max(1, xs.size))
-    direct = np.full(xs.size, base)
+    direct = np.zeros(xs.size)
     for lo in range(0, i.size, block):
         seg = i[lo : lo + block, None]
         u = 1.0 / (seg * th + xs[None, :])
-        direct -= np.sum(np.asarray(Ffun(np.clip(u, 0.0, th)), dtype=float), axis=0)
+        Fu = np.asarray(Ffun(np.clip(u, 0.0, th)), dtype=float)
+        direct += np.sum(F_at_zero_args[lo : lo + block, None] - Fu, axis=0)
     t = xs / th
     d = config.tail_fit_degree
     tail = np.zeros(xs.size)
     for k in range(1, d + 1):
         ck = coef[k] / umax**k
         if k == 1:
-            zk = (digamma(N + 1 + t) - digamma(N + 1)) / th
+            zk = _digamma_diff(N + 1, t) / th
         else:
-            zk = (zeta(k, N + 1) - zeta(k, N + 1 + t)) / th**k
+            zk = _zeta_diff(k, N + 1, t) / th**k
         tail += ck * zk
     return direct + tail
 

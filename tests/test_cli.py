@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import thetacf
 from thetacf import __version__
 from thetacf.cli import main
 
@@ -209,3 +214,12 @@ class TestDeterminism:
             assert run(["gk", "--m", "2", "--iterations", "4", "--out", str(r)]) == 0
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as a reference
+    src = str(Path(thetacf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, thetacf, thetacf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

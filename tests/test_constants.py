@@ -2,16 +2,20 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import zeta
 
 import oracle_values as ov
+from thetacf import constants as constants_module
 from thetacf import (
     DigitError,
     DomainError,
+    QuadratureError,
     constants_report,
     contraction_km,
     contraction_q,
@@ -27,6 +31,31 @@ from thetacf import (
 
 P2 = new_params(2)
 P10 = new_params(10)
+
+
+@lru_cache(maxsize=None)
+def mp_beta(m):
+    """-(1/L) int_0^theta theta log x/(1+theta x) dx = log(m)/2 - Li2(-1/m)/L."""
+    with mp.workdps(30):
+        return float(mp.log(m) / 2 - mp.polylog(2, -mp.mpf(1) / m) / mp.log1p(mp.mpf(1) / m))
+
+
+@lru_cache(maxsize=None)
+def mp_khintchin(m):
+    """exp(sum_{k>=m} log k log1p(1/(k(k+2))) / L): a direct sum below K, then
+    quadrature of the tail plus three Euler-Maclaurin corrections at K."""
+    with mp.workdps(25):
+        f = lambda k: mp.log(k) * mp.log1p(1 / (k * (k + 2)))
+        K = max(2000, m)
+        s = mp.fsum(f(mp.mpf(k)) for k in range(m, K))
+        tail = (
+            mp.quad(f, [K, mp.inf])
+            + f(mp.mpf(K)) / 2
+            - mp.diff(f, K) / 12
+            + mp.diff(f, K, 3) / 720
+            - mp.diff(f, K, 5) / 30240
+        )
+        return float(mp.exp((s + tail) / mp.log1p(mp.mpf(1) / m)))
 
 
 class TestGammaCdf:
@@ -128,6 +157,26 @@ class TestBeta:
             levy_beta(P2, 1e-10, method="simpson")
 
 
+@pytest.mark.parametrize("tol", (1e-10, 1e-12))
+@pytest.mark.parametrize("m", (2, 3, 10, 101, 500, 2382, 4099, 20011, 99991))
+def test_tolerance_contract(m, tol):
+    """Every constant meets its tolerance, and its reported error bounds the true one."""
+    params = new_params(m)
+    ref = mp_beta(m)
+    for method, scheme in constants_module._BETA_METHODS.items():
+        value, achieved = scheme(params, tol)
+        assert value == levy_beta(params, tol, method=method)
+        assert abs(value - ref) <= tol / 2, method
+        assert abs(value - ref) <= achieved + 1e-16 * ref, method
+    try:
+        value, achieved = constants_module._khintchin_detailed(params, tol)
+    except QuadratureError:
+        return
+    ref = mp_khintchin(m)
+    assert abs(value - ref) <= tol
+    assert abs(value - ref) <= achieved + 1e-16 * ref
+
+
 class TestEntropy:
     def test_twice_beta_by_construction(self):
         assert entropy(P2, 1e-12) == 2.0 * levy_beta(P2, 1e-12)
@@ -151,6 +200,17 @@ class TestKhintchin:
     def test_frozen_values(self):
         for m, ref in ov.KHINTCHIN.items():
             assert khintchin_product(new_params(m), 1e-10) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("m", (151, 500, 2381))
+    def test_tail_right_past_m_151(self, m):
+        # the tail beyond the cutoff once came from an adaptive rule that
+        # failed there without notice: m=500 gave 1354.96 for 1359.14
+        assert khintchin_product(new_params(m), 1e-10) == pytest.approx(mp_khintchin(m), abs=1e-10)
+
+    def test_rounding_beyond_tolerance_raises(self):
+        # at m=4099 the float rounding of the sum alone is above 1e-10
+        with pytest.raises(QuadratureError):
+            khintchin_product(new_params(4099), 1e-10)
 
     def test_at_least_m(self):
         for m in (2, 3, 5, 10, 17):

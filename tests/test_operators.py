@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import digamma, zeta
@@ -39,7 +40,7 @@ from thetacf import (
     weight_tail_mass,
 )
 from thetacf.families import lipschitz_family, monotone_family
-from thetacf.operators import _cheb_machinery
+from thetacf.operators import _alternating_zeta, _cheb_machinery, _digamma_diff, _zeta, _zeta_diff
 
 P2 = new_params(2)
 P10 = new_params(10)
@@ -403,3 +404,83 @@ def test_series_budget_exhaustion_raises():
     cfg = OperatorConfig(max_branches=4096)
     with pytest.raises(OperatorSeriesError):
         transfer_values(fn, nodes_of(P2), P2, cfg)
+
+
+class TestEulerMaclaurinHelpers:
+    """The numpy Hurwitz-zeta and digamma helpers behind the operator tails.
+
+    The reference is a direct mpmath sum over n < 64 plus an Euler-Maclaurin
+    tail at a + 64 with twelve Bernoulli terms, at 40 digits.  mpmath's own
+    zeta(s, a) is not used: at s = 40, a = 257 it is off by 5e-10 at 40
+    digits and still by 1e-13 at 100.
+    """
+
+    A = (257.0, 257.5, 4097.0, 262145.0)
+    T = (0.0, 1e-8, 0.3, 1.0)
+
+    @staticmethod
+    def _hurwitz(s, a, N=64):
+        direct = mp.fsum((n + a) ** (-s) for n in range(N))
+        b = a + N
+        tail = b ** (1 - s) / (s - 1) + b ** (-s) / 2 + mp.fsum(
+            mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.rf(s, 2 * k - 1) * b ** (-s - 2 * k + 1)
+            for k in range(1, 13)
+        )
+        return direct + tail
+
+    @staticmethod
+    def _close(got, ref):
+        # relative 2e-15 wherever the reference is representable well above underflow
+        if abs(ref) > 1e-290:
+            assert abs(float(got) - ref) <= 2e-15 * abs(ref)
+
+    def test_zeta_and_difference(self):
+        with mp.workdps(40):
+            for a in self.A:
+                am = mp.mpf(a)
+                for s in range(2, 41):
+                    z = self._hurwitz(s, am)
+                    self._close(_zeta(s, a), z)
+                    for t in self.T:
+                        got = _zeta_diff(s, a, t)
+                        if t == 0.0:
+                            assert got == 0.0
+                        else:
+                            self._close(got, z - self._hurwitz(s, am + mp.mpf(t)))
+
+    def test_alternating_sum(self):
+        # sum_j (-1)^j zeta(s + j, a), the tail moments of U, for s = k + 2 with k <= 16
+        a = np.array(self.A)
+        with mp.workdps(40):
+            for s in range(2, 19):
+                got = _alternating_zeta(s, a)
+                for g, x in zip(got, self.A):
+                    am = mp.mpf(x)
+                    self._close(g, mp.fsum((-1) ** j * self._hurwitz(s + j, am) for j in range(25)))
+
+    def test_digamma_difference(self):
+        with mp.workdps(40):
+            for a in self.A:
+                for t in self.T:
+                    got = _digamma_diff(a, t)
+                    if t == 0.0:
+                        assert got == 0.0
+                    else:
+                        self._close(got, mp.digamma(mp.mpf(a) + mp.mpf(t)) - mp.digamma(mp.mpf(a)))
+
+    def test_vectorised_like_scalar(self):
+        t = np.array(self.T)
+        assert np.array_equal(_zeta_diff(5, 257.0, t), [_zeta_diff(5, 257.0, x) for x in self.T])
+        assert np.array_equal(_digamma_diff(4097.0, t), [_digamma_diff(4097.0, x) for x in self.T])
+        a = np.array(self.A)
+        assert np.array_equal(_zeta(3, a), [_zeta(3, x) for x in self.A])
+
+    def test_outside_validity_rejected(self):
+        with pytest.raises(ValueError):
+            _zeta(2, 100.0)
+        with pytest.raises(ValueError):
+            _zeta_diff(2, np.array([300.0, 10.0]), 0.5)
+        with pytest.raises(ValueError):
+            _digamma_diff(255.0, 0.5)
+        with pytest.raises(ValueError):
+            _zeta(65, 300.0)
