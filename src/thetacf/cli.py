@@ -103,8 +103,6 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--m", type=int, required=True, help="base parameter: theta = 1/sqrt(m), m >= 2 non-square")
     sp.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     sp.add_argument("--out", type=str, default=None, help="output path (stdout when omitted)")
-    sp.add_argument("--seed", type=int, default=3, help="root RNG seed")
-    sp.add_argument("--tolerance", type=float, default=1e-10, help="tolerance for constants/series")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="scalar constants for one m")
     _common_flags(p)
+    p.add_argument("--tolerance", type=float, default=1e-10, help="tolerance for the constants")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("gk", help="distribution-function decay experiment")
@@ -132,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ergodic", help="orbit-ensemble statistics")
     _common_flags(p)
+    p.add_argument("--seed", type=int, default=3, help="root RNG seed")
     p.add_argument("--seeds", type=int, default=20, help="number of exact rational seeds")
     p.add_argument("--n", type=int, default=200, help="exact orbit length")
     p.add_argument("--samples", type=int, default=1_050_000, help="total float digits for the histogram")
@@ -140,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("operator", help="operator check tables")
     _common_flags(p)
+    p.add_argument("--seed", type=int, default=3, help="root RNG seed")
     p.add_argument("--family", choices=("constant", "monotone", "lipschitz", "all"), default="all")
     p.add_argument("--count", type=int, default=50, help="functions per random family")
     p.add_argument("--degree", type=int, default=64)
@@ -164,7 +165,7 @@ def _parse_point(text: str, params) -> tuple[QThetaNumber, str | None]:
     notice = None
     if limited != frac:
         notice = f"input {text!r} snapped to {limited} (denominator <= 1e9)"
-    return QThetaNumber(limited, Fraction(0), params.m), notice
+    return QThetaNumber.from_rational(limited, params.m), notice
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ Two backends coexist.  The float backend is fast and adequate for
 sampling/statistics, but digit extraction drifts after roughly
 ``FLOAT_DIGIT_HORIZON`` iterations (each step multiplies relative error
 by about 1/x^2).  The exact backend works in the real quadratic field
-Q(theta): every quantity is a + b*theta with big-rational a, b, and
-theta^2 reduces to the rational 1/m, so the representation is closed
-under +, -, *, and reciprocals.  Identity-grade checks must use the
-exact backend.
+Q(theta): every quantity is a + b*theta, stored as one reduced integer
+triple (A + B*sqrt(m))/D, so +, -, * and reciprocals are integer
+arithmetic with one gcd.  The floor is floor((A + floor(B*sqrt(m)))/D)
+from one isqrt, and float() and log_qtheta take the same floor of
+x*2^k, so floats are correctly rounded.  Identity-grade checks must use
+the exact backend.
 
 Each backend's map lives in one place.  ``_exact_orbit`` checks its
 input once and returns the digits and every orbit point, at one
@@ -34,7 +36,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Union
 
@@ -92,6 +93,8 @@ _FLOAT_SLACK = 1e-12
 #: digits fit int64; fl(1/y) >= 2**63 exactly when y <= 2**-63.
 _FLOAT_MIN_XTHETA = 2.0**-63
 
+_LN2 = math.log(2.0)
+
 Rational = Union[int, Fraction]
 
 
@@ -112,7 +115,7 @@ class ThetaParams:
     @property
     def theta_exact(self) -> "QThetaNumber":
         """theta as the exact field element 0 + 1*theta."""
-        return QThetaNumber(Fraction(0), Fraction(1), self.m)
+        return QThetaNumber(0, 1, self.m)
 
     @property
     def log_normalizer(self) -> float:
@@ -135,40 +138,52 @@ def new_params(m: int) -> ThetaParams:
     return ThetaParams(m=m, theta=1.0 / math.sqrt(m))
 
 
-@lru_cache(maxsize=None)
-def _theta_enclosure(m: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure lo <= theta <= hi with width about 2^-bits."""
-    s = isqrt(m << (2 * bits))
-    # s <= sqrt(m)*2^bits < s+1  =>  2^bits/(s+1) < theta <= 2^bits/s
-    return Fraction(1 << bits, s + 1), Fraction(1 << bits, s)
-
-
-@dataclass(frozen=True)
 class QThetaNumber:
     """Exact element a + b*theta of Q(theta), theta = 1/sqrt(m).
 
-    Coefficients are reduced Fractions, so equality of values is
-    equality of (a, b, m) triples: theta is irrational, hence the
-    representation over the basis {1, theta} is unique.
+    Stored as one reduced integer triple: the value is (A + B*sqrt(m))/D
+    with D > 0 and gcd(A, B, D) = 1.  sqrt(m) is irrational, so that
+    triple is unique and equality is equality of (A, B, D, m).  The
+    coefficients over {1, theta} are a = A/D and b = B*m/D, since
+    sqrt(m) = m*theta.  Instances are immutable.
     """
 
-    a: Fraction
-    b: Fraction
-    m: int
+    __slots__ = ("_A", "_B", "_D", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __new__(cls, a: Rational, b: Rational, m: int):
+        a, c = Fraction(a), Fraction(b) / m  # b*theta = c*sqrt(m)
+        D = math.lcm(a.denominator, c.denominator)
+        return _triple(a.numerator * (D // a.denominator), c.numerator * (D // c.denominator), D, m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QThetaNumber is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, QThetaNumber):
+            return NotImplemented
+        return (self._A, self._B, self._D, self.m) == (other._A, other._B, other._D, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self._A, self._B, self._D, self.m))
+
+    @property
+    def a(self) -> Fraction:
+        """Rational coefficient of 1."""
+        return Fraction(self._A, self._D)
+
+    @property
+    def b(self) -> Fraction:
+        """Rational coefficient of theta."""
+        return Fraction(self._B * self.m, self._D)
+
+    def __repr__(self) -> str:
+        return f"QThetaNumber(a={self.a!r}, b={self.b!r}, m={self.m!r})"
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def theta(cls, m: int) -> "QThetaNumber":
-        return cls(Fraction(0), Fraction(1), m)
-
-    @classmethod
     def from_rational(cls, value: Rational, m: int) -> "QThetaNumber":
-        return cls(Fraction(value), Fraction(0), m)
+        return cls(value, 0, m)
 
     # -- ring/field operations ----------------------------------------
 
@@ -178,25 +193,26 @@ class QThetaNumber:
                 raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QThetaNumber(Fraction(other), Fraction(0), self.m)
+            return QThetaNumber(other, 0, self.m)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QThetaNumber(self.a + o.a, self.b + o.b, self.m)
+        D1, D2 = self._D, o._D
+        return _triple(self._A * D2 + o._A * D1, self._B * D2 + o._B * D1, D1 * D2, self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QThetaNumber(-self.a, -self.b, self.m)
+        return _triple(-self._A, -self._B, self._D, self.m)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QThetaNumber(self.a - o.a, self.b - o.b, self.m)
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -205,20 +221,21 @@ class QThetaNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        # (a1 + b1 t)(a2 + b2 t) with t^2 = 1/m
-        a = self.a * o.a + Fraction(self.b * o.b, self.m)
-        b = self.a * o.b + self.b * o.a
-        return QThetaNumber(a, b, self.m)
+        A1, B1, A2, B2, m = self._A, self._B, o._A, o._B, self.m
+        return _triple(A1 * A2 + m * B1 * B2, A1 * B2 + A2 * B1, self._D * o._D, m)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "QThetaNumber":
-        """1/(a + b*theta) = (a - b*theta) / (a^2 - b^2/m)."""
-        d = self.a * self.a - Fraction(self.b * self.b, self.m)
-        if d == 0:
-            # a^2 = b^2/m forces a = b = 0 since theta is irrational
+        """D/(A + B*sqrt(m)) = D*(A - B*sqrt(m)) / (A^2 - m*B^2)."""
+        A, B, D, m = self._A, self._B, self._D, self.m
+        N = A * A - m * B * B
+        if N == 0:
+            # A^2 = m*B^2 forces A = B = 0 since sqrt(m) is irrational
             raise ZeroDivisionError("reciprocal of zero element of Q(theta)")
-        return QThetaNumber(self.a / d, -self.b / d, self.m)
+        if N < 0:
+            N, D = -N, -D
+        return _triple(D * A, -D * B, N, m)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -235,28 +252,17 @@ class QThetaNumber:
     # -- order and conversions ----------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*theta (no floating point)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: |a| vs |b|*theta  <=>  m*a^2 vs b^2.
-        lhs = self.m * a.numerator ** 2 * b.denominator ** 2
-        rhs = b.numerator ** 2 * a.denominator ** 2
-        if lhs == rhs:  # impossible for nonzero rationals, theta irrational
-            raise ArithmeticError("degenerate sign comparison in Q(theta)")
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        """Exact sign of the real value (no floating point)."""
+        A, B = self._A, self._B
+        sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # Opposite signs: |A| vs |B|*sqrt(m), never equal as sqrt(m) is irrational.
+        return sa if A * A > self.m * B * B else sb
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._A == 0 and self._B == 0
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -271,86 +277,94 @@ class QThetaNumber:
         return (self - other).sign() >= 0
 
     def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        bits = 64
-        while bits <= (1 << 20):
-            lo, hi = _enclose(self, bits)
-            flo, fhi = float(lo), float(hi)
-            if flo == fhi:
-                return flo
-            bits *= 2
-        return float((lo + hi) / 2)
+        """The correctly rounded double.
+
+        With |n| >= 2^54, every rounding boundary of a double near x*2^k
+        is an integer, so x and the midpoint n + 1/2 lie strictly inside
+        one rounding interval and round alike.  A rational x (B = 0) may
+        sit on a boundary itself; int division rounds it correctly.
+        """
+        if self._B == 0:
+            return self._A / self._D
+        n, k = _scaled_floor(self, 54)
+        return (2 * n + 1) / (1 << (k + 1))
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*theta"
 
 
-def _enclose(x: QThetaNumber, bits: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= x <= hi from the width-2^-bits enclosure of theta."""
-    lo_t, hi_t = _theta_enclosure(x.m, bits)
-    if x.b > 0:
-        return x.a + x.b * lo_t, x.a + x.b * hi_t
-    return x.a + x.b * hi_t, x.a + x.b * lo_t
+# Slot setters that bypass the raising __setattr__, for _triple alone.
+_set_A, _set_B, _set_D, _set_m = (QThetaNumber.__dict__[s].__set__ for s in QThetaNumber.__slots__)
+
+
+def _triple(A: int, B: int, D: int, m: int) -> QThetaNumber:
+    """(A + B*sqrt(m))/D for D > 0, reduced by one gcd."""
+    g = math.gcd(A, B, D)
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    x = object.__new__(QThetaNumber)
+    _set_A(x, A)
+    _set_B(x, B)
+    _set_D(x, D)
+    _set_m(x, m)
+    return x
+
+
+def _floor_of(A: int, B: int, D: int, m: int) -> int:
+    """floor((A + B*sqrt(m))/D) for D > 0.
+
+    floor(B*sqrt(m)) is isqrt(B^2*m) for B >= 0, and one less than its
+    negative for B < 0, since B*sqrt(m) is irrational unless B = 0.
+    """
+    s = isqrt(B * B * m)
+    return (A + (s if B >= 0 else -s - 1)) // D
+
+
+def _scaled_floor(x: QThetaNumber, bits: int) -> tuple[int, int]:
+    """n = floor(x*2^k) and k >= 0, with |n| >= 2^bits, for nonzero x.
+
+    |A + B*sqrt(m)| >= 2^lo: without cancellation it is at least
+    max(|A|, |B|*sqrt(m)); with A and B of opposite signs it is
+    |A^2 - m*B^2| / (|A| + |B|*sqrt(m)), a nonzero integer over a number
+    below 2^hi.  So k = bits + bitlen(D) - lo gives |x*2^k| > 2^bits at
+    once, with no search; a larger k only adds bits.
+    """
+    A, B, D, m = x._A, x._B, x._D, x.m
+    if A and B and (A < 0) != (B < 0):
+        hi = max(A.bit_length(), B.bit_length() + (m.bit_length() + 1) // 2) + 1
+        lo = (A * A - m * B * B).bit_length() - 1 - hi
+    else:
+        lo = max(A.bit_length(), B.bit_length() + (m.bit_length() - 1) // 2) - 1
+    k = max(0, bits + D.bit_length() - lo)
+    return _floor_of(A << k, B << k, D, m), k
 
 
 def floor_qtheta(x: QThetaNumber) -> int:
-    """Largest integer <= a + b*theta, via integer arithmetic only.
+    """Largest integer <= x, from one isqrt on integers.
 
-    Uses an isqrt-based rational enclosure of theta, refined until the
-    floor is determined, then verifies n <= x < n+1 with exact sign
-    comparisons.  Never rounds through floats, so digits stay correct
-    arbitrarily close to cylinder boundaries.
+    Never rounds through floats, so digits stay correct arbitrarily
+    close to cylinder boundaries.
     """
-    if x.b == 0:
-        return math.floor(x.a)
-    bits = 64
-    while True:
-        lo, hi = _enclose(x, bits)
-        n = math.floor(lo)
-        if n == math.floor(hi):
-            break
-        bits *= 2  # terminates: x is irrational when b != 0
-    while (x - n).sign() < 0:
-        n -= 1
-    while (x - (n + 1)).sign() >= 0:
-        n += 1
-    return n
+    return _floor_of(x._A, x._B, x._D, x.m)
 
 
 def ceil_qtheta(x: QThetaNumber) -> int:
     return -floor_qtheta(-x)
 
 
-def _log_fraction(f: Fraction) -> float:
-    # math.log accepts arbitrarily large ints, so this never overflows.
-    return math.log(f.numerator) - math.log(f.denominator)
-
-
 def log_qtheta(x: QThetaNumber) -> float:
-    """Natural log of a positive a + b*theta, safe for huge coefficients.
+    """Natural log of a positive element, safe for huge coefficients.
 
-    Coefficient pairs of orbit quantities grow exponentially while the
-    real value stays moderate; converting to float first would overflow
-    or cancel.  Instead theta is enclosed by rationals tight enough that
-    the value is known to 20 digits, and the log is taken on big
-    integers.
+    Coefficients of orbit quantities grow exponentially while the real
+    value stays moderate; converting to float first would overflow or
+    cancel.  Instead n = floor(x*2^k) >= 2^64 is taken exactly, and the
+    log is that of its leading bits plus a power of two.
     """
     if x.sign() <= 0:
         raise ValueError("log_qtheta requires a positive value")
-    a, b, m = x.a, x.b, x.m
-    if b == 0:
-        return _log_fraction(a)
-    if a == 0:
-        return _log_fraction(b) - 0.5 * math.log(m)
-    bits = 128
-    while True:
-        lo, hi = _enclose(x, bits)
-        if lo > 0 and (hi - lo) * 10**20 <= lo:
-            return _log_fraction((lo + hi) / 2)
-        bits *= 2
-        if bits > (1 << 24):  # pragma: no cover
-            raise ArithmeticError("theta enclosure failed to converge")
+    n, k = _scaled_floor(x, 64)
+    e = n.bit_length() - 1
+    return math.log(n / (1 << e)) + (e - k) * _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +441,6 @@ def _validate_float_point(x: float, params: ThetaParams) -> float:
 
 
 def _validate_exact_point(x: QThetaNumber, params: ThetaParams) -> QThetaNumber:
-    if x.m != params.m:
-        raise ValueError(f"point from field m={x.m}, params have m={params.m}")
     if x.sign() < 0 or (params.theta_exact - x).sign() < 0:
         raise DomainError(f"exact point {x} outside [0, theta]")
     return x
@@ -449,20 +461,25 @@ def _resolve_backend(x, backend: str) -> tuple[object, str]:
 
 
 def _as_qtheta(x, params: ThetaParams) -> QThetaNumber:
-    if isinstance(x, QThetaNumber):
-        return x
-    return QThetaNumber.from_rational(x, params.m)
+    """x in the field of params: rationals and floats embed exactly."""
+    if not isinstance(x, QThetaNumber):
+        return QThetaNumber.from_rational(x, params.m)
+    if x.m != params.m:
+        raise ValueError(f"point from field m={x.m}, params have m={params.m}")
+    return x
 
 
 def _step(x: QThetaNumber, m: int) -> tuple[int, QThetaNumber]:
     """Digit and image of a nonzero exact point.
 
-    With r = 1/x = a + b*theta the digit is floor(r*sqrt(m)), and
-    sqrt(m) = m*theta makes r*sqrt(m) = b + m*a*theta.  T(x) = r - d*theta.
+    With r = 1/x = (A + B*sqrt(m))/D the digit is floor(r*sqrt(m)) =
+    floor((B*m + A*sqrt(m))/D), and T(x) = r - d*theta =
+    (A*m + (B*m - d*D)*sqrt(m))/(D*m).
     """
     r = x.reciprocal()
-    d = floor_qtheta(QThetaNumber(r.b, m * r.a, m))
-    return d, QThetaNumber(r.a, r.b - d, m)
+    A, B, D = r._A, r._B, r._D
+    d = _floor_of(B * m, A, D, m)
+    return d, _triple(A * m, B * m - d * D, D * m, m)
 
 
 def _exact_orbit(x, n: int, params: ThetaParams) -> tuple[DigitSequence, list[QThetaNumber]]:
@@ -570,11 +587,10 @@ def _convergent_table(digits, m: int) -> tuple[list[QThetaNumber], list[QThetaNu
     p_n = a_n*theta*p_{n-1} + p_{n-2} from p_-1 = 1, p_0 = 0, and the
     same for q from q_-1 = 0, q_0 = 1.
     """
-    one = QThetaNumber.from_rational(1, m)
-    zero = QThetaNumber.from_rational(0, m)
+    one, zero = _triple(1, 0, 1, m), _triple(0, 0, 1, m)
     ps, qs = [one, zero], [zero, one]
     for a in digits:
-        at = QThetaNumber(Fraction(0), Fraction(a), m)
+        at = _triple(0, a, m, m)  # a*theta = a*sqrt(m)/m
         ps.append(at * ps[-1] + ps[-2])
         qs.append(at * qs[-1] + qs[-2])
     return ps, qs
@@ -666,10 +682,8 @@ def cylinder_measure(cyl, params: ThetaParams) -> Fraction:
     """
     if not isinstance(cyl, Cylinder):
         cyl = cylinder(cyl, params)
-    diff = cyl.upper - cyl.lower
-    # division by theta: 1/theta = m*theta
-    val = diff * QThetaNumber(Fraction(0), Fraction(params.m), params.m)
-    if val.b != 0:
+    val = (cyl.upper - cyl.lower) / params.theta_exact
+    if val._B != 0:
         raise ArithmeticError("cylinder measure should be rational")
     return val.a
 

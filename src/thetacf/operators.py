@@ -25,11 +25,11 @@ polynomial on [0, u_{N+1}(0)] (all tail arguments land there) and the
 tail moments sum_{i>N} P_i(x) u_i(x)^k are evaluated in closed form
 through Hurwitz zeta values.  The alternating-zeta form used here is
 cancellation-free, which keeps iterated applications stable; the cutoff
-index adapts until the estimated folding error meets the configured
-tolerance.  The zeta values and alternating zeta sums, and the zeta and
-digamma differences of the distribution step, come from Euler-Maclaurin
-expansions at a >= N+1 >= 257 in numpy; the differences go through
-log1p/expm1, so they keep full relative accuracy however small the shift.
+index adapts until the estimated folding error meets 1e-13.  The zeta
+values and alternating zeta sums, and the zeta and digamma differences
+of the distribution step, come from Euler-Maclaurin expansions at
+a >= N+1 >= 257 in numpy; the differences go through log1p/expm1, so
+they keep full relative accuracy however small the shift.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from . import constants as _constants
 from .expansion import (
     DigitError,
     DomainError,
-    QThetaNumber,
     ThetaParams,
+    _as_qtheta,
     ceil_qtheta,
 )
 
@@ -76,6 +76,14 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+#: Bound on the estimated error of folding the branch-series remainder
+#: analytically (its leading term is the exact tail mass times f(0)).
+_SERIES_CUTOFF_TOLERANCE = 1e-13
+#: Degree of the local polynomial fit near 0 that folds the remainder.
+_TAIL_FIT_DEGREE = 8
+#: Largest direct-sum cutoff N tried before OperatorSeriesError.
+_MAX_BRANCHES = 262_144
 
 
 class OperatorSeriesError(ArithmeticError):
@@ -184,25 +192,13 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Discretization knobs for operator application.
-
-    ``series_cutoff_tolerance`` bounds the estimated error of folding the
-    branch-series remainder analytically (its leading term is the exact
-    tail mass times f(0)).
-    """
+    """Discretization of the Chebyshev grids: ``degree`` is the grid degree."""
 
     degree: int = 64
-    series_cutoff_tolerance: float = 1e-13
-    tail_fit_degree: int = 8
-    max_branches: int = 262_144
 
     def __post_init__(self):
         if self.degree < 8:
             raise ValueError("degree must be >= 8")
-        if not (0.0 < self.series_cutoff_tolerance <= 1e-6):
-            raise ValueError("series_cutoff_tolerance must lie in (0, 1e-6]")
-        if not (3 <= self.tail_fit_degree <= 16):
-            raise ValueError("tail_fit_degree must lie in [3, 16]")
 
 
 _DEFAULT_CONFIG = OperatorConfig()
@@ -402,14 +398,14 @@ def _tail_moments_v(params: ThetaParams, N: int, xs: np.ndarray, kmax: int) -> n
     return out
 
 
-def _choose_tail(fun, params: ThetaParams, config: OperatorConfig, kind: str):
+def _choose_tail(fun, params: ThetaParams, kind: str):
     """Pick the direct-sum cutoff N and the local fit meeting the tolerance.
 
     The folding error is bounded by (fit residual) x (tail weight); the
     evaluation-noise floor of the residual does not amplify, so it is
     subtracted before testing the bound.
     """
-    d = config.tail_fit_degree
+    d = _TAIL_FIT_DEGREE
     th = params.theta
     N = max(256, params.m + 1)
     while True:
@@ -424,13 +420,13 @@ def _choose_tail(fun, params: ThetaParams, config: OperatorConfig, kind: str):
         else:  # pragma: no cover
             raise ValueError(kind)
         est_eff = max(est - 64.0 * _EPS * max(1.0, scale), 0.0)
-        if est_eff * weight <= config.series_cutoff_tolerance:
+        if est_eff * weight <= _SERIES_CUTOFF_TOLERANCE:
             return N, coef, umax
         N *= 2
-        if N > config.max_branches:
+        if N > _MAX_BRANCHES:
             raise OperatorSeriesError(
-                f"folding tolerance {config.series_cutoff_tolerance:.1e} unreachable "
-                f"within {config.max_branches} branches"
+                f"folding tolerance {_SERIES_CUTOFF_TOLERANCE:.1e} unreachable "
+                f"within {_MAX_BRANCHES} branches"
             )
 
 
@@ -455,21 +451,19 @@ def transfer_values(fun, xs, params: ThetaParams, config: OperatorConfig | None 
 
     This is the evaluation engine behind apply_U/apply_V; it accepts any
     callable on [0, theta] (vectorized over numpy arrays), so test
-    families need not be representable on the grid first.
+    families need not be representable on the grid first.  ``config``
+    does not change the result: the series settings are module constants.
     """
     if operator not in ("U", "V"):
         raise ValueError(f"unknown operator {operator!r}")
-    config = config or _DEFAULT_CONFIG
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < -1e-9 or xs.max() > params.theta + 1e-9):
         raise DomainError("operator evaluation outside [0, theta]")
     xs = np.clip(xs, 0.0, params.theta)
-    N, coef, umax = _choose_tail(fun, params, config, operator)
+    N, coef, umax = _choose_tail(fun, params, operator)
     direct = _direct_sum(fun, xs, params, N, operator)
-    moments = (_tail_moments_u if operator == "U" else _tail_moments_v)(
-        params, N, xs, config.tail_fit_degree
-    )
-    scaled = coef / umax ** np.arange(config.tail_fit_degree + 1)
+    moments = (_tail_moments_u if operator == "U" else _tail_moments_v)(params, N, xs, _TAIL_FIT_DEGREE)
+    scaled = coef / umax ** np.arange(_TAIL_FIT_DEGREE + 1)
     return direct + moments @ scaled
 
 
@@ -527,14 +521,6 @@ def apply_S_power(
 # ---------------------------------------------------------------------------
 
 
-def _endpoint_to_qtheta(v, params: ThetaParams) -> QThetaNumber:
-    if isinstance(v, QThetaNumber):
-        if v.m != params.m:
-            raise ValueError("endpoint from a different field")
-        return v
-    return QThetaNumber(Fraction(v), Fraction(0), params.m)
-
-
 def markov_transition(x, intervals, params: ThetaParams) -> float:
     """Transition probability Q(x, A) = sum of P_i(x) over branches with u_i(x) in A.
 
@@ -550,12 +536,8 @@ def markov_transition(x, intervals, params: ThetaParams) -> float:
     xf = float(x)
     if not (-1e-12 <= xf <= th + 1e-12):
         raise DomainError(f"x={x!r} outside [0, theta]")
-    if isinstance(x, QThetaNumber):
-        xq = x
-    else:
-        xq = QThetaNumber(Fraction(x), Fraction(0), params.m)  # floats are exact binary rationals
+    xq = _as_qtheta(x, params)  # floats are exact binary rationals
     theta_exact = params.theta_exact
-    theta_inv = QThetaNumber(Fraction(0), Fraction(params.m), params.m)  # 1/theta = m*theta
 
     pairs = []
     for item in intervals:
@@ -563,8 +545,8 @@ def markov_transition(x, intervals, params: ThetaParams) -> float:
             lo, hi = item
         except (TypeError, ValueError):
             raise DomainError(f"malformed interval {item!r}") from None
-        lo_q = _endpoint_to_qtheta(lo, params)
-        hi_q = _endpoint_to_qtheta(hi, params)
+        lo_q = _as_qtheta(lo, params)
+        hi_q = _as_qtheta(hi, params)
         if lo_q.sign() < 0 or ((hi_q - theta_exact).sign() > 0 and float(hi_q) > th + 1e-12):
             raise DomainError(f"interval {item!r} outside [0, theta]")
         if (hi_q - lo_q).sign() < 0:
@@ -585,13 +567,13 @@ def markov_transition(x, intervals, params: ThetaParams) -> float:
         if (hi_q - theta_exact).sign() >= 0 or float(hi_q) >= th:
             i_min = params.m
         else:
-            y = (hi_q.reciprocal() - xq) * theta_inv
+            y = (hi_q.reciprocal() - xq) / theta_exact
             i_min = max(params.m, ceil_qtheta(y))
         # u_i(x) > lo  <=>  i < (1/lo - x)/theta
         if lo_q.sign() <= 0:
             i_max = None
         else:
-            y2 = (lo_q.reciprocal() - xq) * theta_inv
+            y2 = (lo_q.reciprocal() - xq) / theta_exact
             i_max = ceil_qtheta(y2) - 1
             if i_max < i_min:
                 continue
@@ -608,7 +590,7 @@ def markov_transition(x, intervals, params: ThetaParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gk_step_values(Ffun, xs: np.ndarray, params: ThetaParams, config: OperatorConfig) -> np.ndarray:
+def _gk_step_values(Ffun, xs: np.ndarray, params: ThetaParams) -> np.ndarray:
     """One distribution-function step sum_i [F(1/(i*theta)) - F(1/(i*theta+x))].
 
     The series is summed directly to N, one difference per branch, and the
@@ -617,7 +599,7 @@ def _gk_step_values(Ffun, xs: np.ndarray, params: ThetaParams, config: OperatorC
     differences.
     """
     th = params.theta
-    N, coef, umax = _choose_tail(Ffun, params, config, "gk")
+    N, coef, umax = _choose_tail(Ffun, params, "gk")
     i = np.arange(params.m, N + 1, dtype=float)
     F_at_zero_args = np.asarray(Ffun(np.clip(1.0 / (i * th), 0.0, th)), dtype=float)
     block = max(1, 65536 // max(1, xs.size))
@@ -628,9 +610,8 @@ def _gk_step_values(Ffun, xs: np.ndarray, params: ThetaParams, config: OperatorC
         Fu = np.asarray(Ffun(np.clip(u, 0.0, th)), dtype=float)
         direct += np.sum(F_at_zero_args[lo : lo + block, None] - Fu, axis=0)
     t = xs / th
-    d = config.tail_fit_degree
     tail = np.zeros(xs.size)
-    for k in range(1, d + 1):
+    for k in range(1, _TAIL_FIT_DEGREE + 1):
         ck = coef[k] / umax**k
         if k == 1:
             zk = _digamma_diff(N + 1, t) / th
@@ -648,7 +629,6 @@ def gk_iterate_cdf(F0: GridFunction, n: int, config: OperatorConfig | None = Non
     one up to grid tolerance, with F(0) and F(theta) preserved by
     construction of the series.
     """
-    config = config or _DEFAULT_CONFIG
     vals = F0.values
     if abs(vals[0]) > 1e-8 or abs(vals[-1] - 1.0) > 1e-8:
         raise ValueError("F0 must satisfy F(0)=0 and F(theta)=1")
@@ -657,7 +637,7 @@ def gk_iterate_cdf(F0: GridFunction, n: int, config: OperatorConfig | None = Non
     out = [F0]
     cur = F0
     for _ in range(n):
-        cur = cur.with_values(_gk_step_values(cur, cur.nodes, cur.params, config))
+        cur = cur.with_values(_gk_step_values(cur, cur.nodes, cur.params))
         out.append(cur)
     return out
 

@@ -37,6 +37,12 @@ class TestValidation:
     def test_missing_m(self):
         assert run(["constants"]) == 2
 
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys):
+        # --tolerance belongs to constants and --seed to ergodic/operator
+        assert run(["gk", "--m", "10", "--tolerance", "1e-6"]) == 2
+        assert run(["expand", "--m", "2", "--x", "1/3", "--seed", "5"]) == 2
+        capsys.readouterr()
+
     def test_success_exit_zero(self, tmp_path):
         assert run(["constants", "--m", "2", "--out", str(tmp_path / "c.json")]) == 0
 

@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from math import isqrt
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetacf import QThetaNumber, ceil_qtheta, floor_qtheta, log_qtheta
@@ -120,3 +122,88 @@ def test_log_matches_float_log(a, b, m):
     elif (x.sign() if not x.is_zero else 0) <= 0:
         with pytest.raises(ValueError):
             log_qtheta(x)
+
+
+# -- the integer-triple arithmetic against mpmath ----------------------------
+
+wide_m_st = st.sampled_from([2, 3, 10, 101, 4099, 99991])
+COEF = 10**300
+
+
+@st.composite
+def triples(draw):
+    """(A, B, D, m) for x = (A + B*sqrt(m))/D, often with A close to -B*sqrt(m).
+
+    Near-cancelling draws over a small D give values of order 1 with huge
+    coefficients, as along exact orbits.
+    """
+    m = draw(wide_m_st)
+    B = draw(st.integers(-COEF, COEF))
+    if draw(st.booleans()):
+        s = isqrt(B * B * m)
+        A = (-s if B > 0 else s) + draw(st.integers(-3, 3))
+    else:
+        A = draw(st.integers(-COEF, COEF))
+    D = draw(st.integers(1, 10 ** draw(st.sampled_from([1, 50, 300]))))
+    return A, B, D, m
+
+
+def element(A, B, D, m):
+    return QThetaNumber(Fraction(A, D), Fraction(B * m, D), m)
+
+
+def reference(A, B, D, m):
+    # x lies at least 1/(D*2^j*(|A| + |B|*sqrt(m))) away from any dyadic
+    # p/2^j it is not equal to, so this precision decides every rounding
+    mp.mp.prec = 2 * (A.bit_length() + B.bit_length() + D.bit_length() + m.bit_length()) + 2300
+    return (mp.mpf(A) + mp.mpf(B) * mp.sqrt(m)) / D
+
+
+def rounded(v) -> float:
+    # via an exact Fraction: float(mpf) may round subnormals twice
+    man, exp = v.man_exp
+    man = int(mp.sign(v)) * int(man)
+    exp = int(exp)
+    return float(Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp))
+
+
+@given(triples())
+@settings(max_examples=150, deadline=None)
+def test_float_and_floor_match_mpmath(t):
+    x = element(*t)
+    v = reference(*t)
+    assert float(x).hex() == rounded(v).hex()
+    assert floor_qtheta(x) == int(mp.floor(v))
+
+
+@given(triples())
+@settings(max_examples=150, deadline=None)
+def test_log_within_2e14_of_mpmath(t):
+    A, B, D, m = t
+    assume(A or B)
+    x = element(*t)
+    if x.sign() < 0:
+        x, A, B = -x, -A, -B
+    ref = float(mp.log(reference(A, B, D, m)))
+    assert abs(log_qtheta(x) - ref) <= 2e-14 * max(1.0, abs(ref))
+
+
+@given(triples(), triples())
+@settings(max_examples=60, deadline=None)
+def test_equal_values_compare_and_hash_equal(t, u):
+    x = element(*t)
+    r = element(u[0], u[1], u[2], t[3])
+    same = [QThetaNumber(x.a, x.b, x.m), (x + r) - r, r + x - r]
+    if not r.is_zero:
+        same += [(x * r) / r, x / r * r]
+    for y in same:
+        assert y == x and hash(y) == hash(x)
+    assert x + 1 != x
+
+
+def test_coordinates_are_read_only():
+    x = qt(Fraction(1, 3), 2, 5)
+    for name in ("a", "b", "m"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert repr(x) == "QThetaNumber(a=Fraction(1, 3), b=Fraction(2, 1), m=5)"
