@@ -244,8 +244,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.tolerance <= 0:
-        raise CLIError("--tolerance must be positive")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise CLIError("--tolerance must be finite and positive")
     report = consts.constants_report(args.m, tolerance=args.tolerance)
     payload = _envelope("constants", {"m": args.m, "tolerance": args.tolerance, "format": args.format})
     payload.update(report.to_json_dict())
@@ -261,6 +261,13 @@ def cmd_constants(args) -> int:
     else:
         _emit(_json_text(payload), args.out)
     return 0
+
+
+def _operator_config(degree: int) -> OperatorConfig:
+    try:
+        return OperatorConfig(degree=degree)
+    except ValueError as exc:
+        raise CLIError(f"--degree: {exc}") from None
 
 
 def _gk_start(start: str, params, config: OperatorConfig):
@@ -287,7 +294,7 @@ def cmd_gk(args) -> int:
     params = new_params(args.m)
     if args.iterations < 1:
         raise CLIError("--iterations must be >= 1")
-    config = OperatorConfig(degree=args.degree)
+    config = _operator_config(args.degree)
     F0, f0 = _gk_start(args.start, params, config)
     Fs = operators.gk_iterate_cdf(F0, args.iterations, config)
     report = operators.error_sequence(Fs, config, f0=f0)
@@ -354,8 +361,8 @@ def cmd_ergodic(args) -> int:
         raise CLIError("--seeds must be >= 1")
     if args.n < 1:
         raise CLIError("--n must be >= 1")
-    if args.samples < 1:
-        raise CLIError("--samples must be >= 1")
+    if args.samples < montecarlo._MIN_HISTOGRAM_DIGITS:
+        raise CLIError(f"--samples must be >= {montecarlo._MIN_HISTOGRAM_DIGITS}")
     if args.float_orbit_len < 1 or args.float_orbit_len > 1_000_000:
         raise CLIError("--float-orbit-len must lie in [1, 1e6]")
     new_params(args.m)
@@ -391,7 +398,7 @@ def cmd_operator(args) -> int:
     params = new_params(args.m)
     if args.count < 1:
         raise CLIError("--count must be >= 1")
-    config = OperatorConfig(degree=args.degree)
+    config = _operator_config(args.degree)
     q = consts.contraction_q(params, 1e-10)
     km = float(consts.contraction_km(args.m))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((args.seed, 2, 0))))

@@ -340,28 +340,54 @@ def contraction_km(m: int) -> Fraction:
     return Fraction(1, m + 1)
 
 
+# B_2, B_4, ..., B_16 (DLMF 24.2.1 table); the operator tails use them too
+_BERNOULLI = tuple(
+    Fraction(n, d)
+    for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+)
+_Q_DIRECT_TERMS = 64  # sum i < max(m, 64) directly, the rest by Euler-Maclaurin
+
+
 def _contraction_q_detailed(params: ThetaParams, tol: float) -> tuple[float, float]:
+    """q = m * sum_{i>=m} (2m - i)/i^3 with its achieved error.
+
+    Partial fractions and zeta(s, m+1) = zeta(s, m) - m^-s collapse the
+    series of ``contraction_q`` to sum_{i>=m} (2m - i)/i^3, which is
+    2m*zeta(3, m) - zeta(2, m).  Below N = max(m, 64) it is summed
+    directly; from N on, h(t) = 2m t^-3 - t^-2 is summed by
+    Euler-Maclaurin (DLMF 2.10.1): the integral (m - N)/N^2, h(N)/2, and
+    B_2k N^-(2k+1) ((2k+1)m/N - 1) for k = 1..8, since the (2k-1)-th
+    derivative of t^-s is -(s)_(2k-1) t^-(s+2k-1).  t^-2 and t^-3 are
+    completely monotone, so the remainder of each is below its first
+    omitted term, which at N >= 64 is below the last included one.
+    Every piece is an int/int quotient, rounded once, and math.fsum
+    rounds their sum once.
+    """
     m = params.m
-    total = 0.0
-    start = m
-    block = 65_536
-    while True:
-        i = np.arange(start, start + block, dtype=np.float64)
-        total += float(np.sum(m * (m / (i**3 * (i + 1.0)) + (i + 1.0 - m) / (i * (i + 1.0) ** 3))))
-        K = float(start + block - 1)
-        bound = m * (m / (3.0 * K**3) + 1.0 / (2.0 * K**2))
-        if bound < tol:
-            return total, bound
-        start += block
-        if start > 400_000_000:
-            raise QuadratureError("contraction constant series did not meet tolerance")
+    N = max(m, _Q_DIRECT_TERMS)
+    pieces = [(2 * m - i) / i**3 for i in range(m, N)]
+    pieces += [(m - N) / N**2, m / N**3, -1 / (2 * N**2)]
+    for k, b in enumerate(_BERNOULLI, 1):
+        pieces.append(b.numerator * ((2 * k + 1) * m - N) / (b.denominator * N ** (2 * k + 2)))
+    b = _BERNOULLI[-1]
+    remainder = abs(b.numerator) * (17 * m + N) / (b.denominator * N**18)
+    q = m * math.fsum(pieces)
+    rounding = _EPS * (m * math.fsum(map(abs, pieces)) + q)
+    achieved = m * remainder + rounding
+    if achieved > tol:
+        raise QuadratureError(f"contraction constant achieved {achieved:.2e} > tolerance {tol:.2e}")
+    return q, achieved
 
 
 def contraction_q(params: ThetaParams, tolerance: float = 1e-12) -> float:
     """Lipschitz-contraction constant of the transfer operator.
 
-    q = m * sum_{i>=m} ( m/(i^3(i+1)) + (i+1-m)/(i(i+1)^3) ), summed
-    directly with an integral tail bound kept below ``tolerance``.
+    q = m * sum_{i>=m} ( m/(i^3(i+1)) + (i+1-m)/(i(i+1)^3) ), which
+    partial fractions collapse to m * sum_{i>=m} (2m - i)/i^3.  That sum
+    is taken directly below i = max(m, 64) and by Euler-Maclaurin beyond,
+    with an error bound (truncation plus rounding) that is largest at
+    m = 2, 2.5e-16; QuadratureError is raised only if it exceeds
+    ``tolerance``.
     The geometric-decay guarantee needs q < theta, which holds for every
     m checked; consult ConstantsReport.q_lt_theta rather than assuming.
     """

@@ -229,12 +229,17 @@ def check_error_bounds(x0, n: int, params: ThetaParams) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _float_copy(digits) -> np.ndarray:
+    """A private float64 copy, which the statistics below overwrite in place."""
+    return np.array(list(digits) if isinstance(digits, DigitSequence) else digits, dtype=np.float64)
+
+
 def geometric_mean_statistic(digits) -> float:
     """exp of the mean log digit: the empirical Khintchin-type mean."""
-    arr = np.asarray(list(digits) if isinstance(digits, DigitSequence) else digits, dtype=np.float64)
+    arr = _float_copy(digits)
     if arr.size == 0:
         raise ValueError("no digits")
-    return float(np.exp(np.mean(np.log(arr))))
+    return float(np.exp(np.mean(np.log(arr, out=arr))))
 
 
 def arithmetic_mean_statistic(digits, checkpoints=(1000, 10_000, 100_000)):
@@ -243,13 +248,16 @@ def arithmetic_mean_statistic(digits, checkpoints=(1000, 10_000, 100_000)):
     Returns (n, mean) pairs for every checkpoint within range; the means
     drift upward without bound because the digit law has no first moment.
     """
-    arr = np.asarray(list(digits) if isinstance(digits, DigitSequence) else digits, dtype=np.float64)
+    arr = _float_copy(digits)
     out = []
-    csum = np.cumsum(arr)
+    csum = np.cumsum(arr, out=arr)
     for c in checkpoints:
         if c <= arr.size:
             out.append((int(c), float(csum[c - 1] / c)))
     return out
+
+
+_MIN_HISTOGRAM_DIGITS = 10_000  # digit_frequency's default floor, and that of `ergodic --samples`
 
 
 @dataclass(frozen=True)
@@ -274,31 +282,39 @@ class DigitHistogram:
         return out
 
 
-def digit_frequency(digits, params: ThetaParams, min_samples: int = 10_000) -> DigitHistogram:
-    """Histogram of observed digits with standard errors under the law."""
+def digit_frequency(digits, params: ThetaParams, min_samples: int = _MIN_HISTOGRAM_DIGITS) -> DigitHistogram:
+    """Histogram of observed digits with standard errors under the law.
+
+    The table runs from m to k_max, the first k with law(k+1)*total < 1.
+    As law(k) ~ m/k^2, k_max lies within isqrt(2*total*(m+1)) + 4 of m,
+    so the law is evaluated once on that span (doubled should it fall
+    short) and the counts come from one bincount.  Frequency, sigma and
+    the normal deviates are array expressions in the order of the scalar
+    formulas, so the rows hold the same Python ints and floats as rows
+    built one k at a time.
+    """
     arr = np.asarray(digits, dtype=np.int64)
     total = int(arr.size)
     if total < min_samples:
         raise ValueError(f"need at least {min_samples} digits, got {total}")
-    law_at = lambda k: _constants.digit_law(k, params)
-    # table out to the last digit with expected count >= 1
-    k_max = params.m
-    while law_at(k_max + 1) * total >= 1.0:
-        k_max += 1
-    uniq, counts = np.unique(arr, return_counts=True)
-    count_of = dict(zip(uniq.tolist(), counts.tolist()))
-    rows = []
-    covered = 0
-    max_z = 0.0
-    for k in range(params.m, k_max + 1):
-        c = count_of.get(k, 0)
-        covered += c
-        law = float(law_at(k))
-        sigma = math.sqrt(total * law * (1.0 - law))
-        rows.append((k, c, c / total, law, sigma))
-        if total * law >= 25.0 and sigma > 0:
-            max_z = max(max_z, abs(c - total * law) / sigma)
-    return DigitHistogram(rows=tuple(rows), total=total, coverage=covered / total, max_z=max_z)
+    m = params.m
+    span = math.isqrt(2 * total * (m + 1)) + 4
+    while True:
+        law = _constants.digit_law(np.arange(m, m + span + 1), params)
+        short = law[1:] * total < 1.0
+        if short.any():
+            break
+        span *= 2
+    n = int(np.argmax(short)) + 1  # rows k = m .. k_max
+    law = law[:n]
+    in_table = (arr >= m) & (arr < m + n)
+    counts = np.bincount(arr[in_table] - m, minlength=n)
+    expected = total * law
+    sigma = np.sqrt(expected * (1.0 - law))
+    judged = (expected >= 25.0) & (sigma > 0)
+    max_z = float(np.max(np.abs(counts[judged] - expected[judged]) / sigma[judged])) if judged.any() else 0.0
+    rows = zip(range(m, m + n), counts.tolist(), (counts / total).tolist(), law.tolist(), sigma.tolist())
+    return DigitHistogram(rows=tuple(rows), total=total, coverage=int(counts.sum()) / total, max_z=max_z)
 
 
 # ---------------------------------------------------------------------------

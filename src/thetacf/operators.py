@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -251,15 +250,11 @@ def weight_normalization_residual(x: float, N: int, params: ThetaParams) -> floa
 # Hurwitz zeta and digamma differences by Euler-Maclaurin
 # ---------------------------------------------------------------------------
 
-# B_2k/(2k)! and B_2k/(2k) for k = 1..8 (DLMF 24.2.1 table).  With a >= 256
-# and s <= 64 the first omitted Euler-Maclaurin term is below 1e-20 of the
-# value, so eight terms leave only rounding.
-_BERNOULLI = tuple(
-    Fraction(n, d)
-    for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
-)
-_ZETA_COEF = tuple(float(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI, start=1))
-_DIGAMMA_COEF = tuple(float(b / (2 * k)) for k, b in enumerate(_BERNOULLI, start=1))
+# B_2k/(2k)! and B_2k/(2k) for k = 1..8.  With a >= 256 and s <= 64 the
+# first omitted Euler-Maclaurin term is below 1e-20 of the value, so eight
+# terms leave only rounding.
+_ZETA_COEF = tuple(float(b / math.factorial(2 * k)) for k, b in enumerate(_constants._BERNOULLI, start=1))
+_DIGAMMA_COEF = tuple(float(b / (2 * k)) for k, b in enumerate(_constants._BERNOULLI, start=1))
 _EM_MIN_A = 256.0
 
 

@@ -30,6 +30,23 @@ class TestValidation:
     def test_zero_samples(self):
         assert run(["ergodic", "--m", "2", "--samples", "0"]) == 2
 
+    def test_too_few_samples_for_the_histogram(self, capsys):
+        assert run(["ergodic", "--m", "2", "--samples", "10"]) == 2
+        assert "--samples must be >= 10000" in capsys.readouterr().err
+
+    def test_tolerance_must_be_finite(self, capsys):
+        assert run(["constants", "--m", "2", "--tolerance", "nan"]) == 2
+        assert run(["constants", "--m", "2", "--tolerance", "inf"]) == 2
+        capsys.readouterr()
+
+    def test_gk_degree_below_grid_minimum(self, capsys):
+        assert run(["gk", "--m", "2", "--degree", "4"]) == 2
+        assert "--degree" in capsys.readouterr().err
+
+    def test_operator_degree_below_grid_minimum(self, capsys):
+        assert run(["operator", "--m", "2", "--degree", "4"]) == 2
+        assert "--degree" in capsys.readouterr().err
+
     def test_bad_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()

@@ -7,6 +7,8 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import zeta
 
@@ -247,6 +249,34 @@ class TestContraction:
             assert 0 < q < params.theta
             qs.append(q)
         assert all(b < a for a, b in zip(qs, qs[1:]))
+
+
+@lru_cache(maxsize=None)
+def mp_q(m):
+    """m * (2m zeta(3, m) - zeta(2, m)), the collapsed series of q."""
+    with mp.workdps(40):
+        return m * (2 * m * mp.zeta(3, m) - mp.zeta(2, m))
+
+
+def _check_q_contract(m):
+    params = new_params(m)
+    q, bound = constants_module._contraction_q_detailed(params, 1e-10)
+    assert abs(mp.mpf(q) - mp_q(m)) <= bound
+    assert bound <= 1e-15
+    assert contraction_q(params, 1e-10) == q
+    # 1e-8 keeps the geometric mean clear of its float64 rounding up to m = 1e5
+    assert constants_report(m, 1e-8).tolerances["q"] == bound
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 101, 4099, 20011, 99991])
+def test_q_contract(m):
+    _check_q_contract(m)
+
+
+@given(st.integers(2, 10**5).filter(lambda m: math.isqrt(m) ** 2 != m))
+@settings(max_examples=30, deadline=None)
+def test_q_contract_drawn_m(m):
+    _check_q_contract(m)
 
 
 class TestReport:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_values as ov
 from thetacf import (
@@ -27,7 +29,7 @@ from thetacf import (
     new_params,
     sample_orbit,
 )
-from thetacf.montecarlo import float_digit_run, random_rational_seed
+from thetacf.montecarlo import DigitHistogram, float_digit_run, random_rational_seed
 
 P2 = new_params(2)
 P10 = new_params(10)
@@ -202,6 +204,63 @@ class TestDigitStatistics:
     def test_histogram_needs_samples(self):
         with pytest.raises(ValueError):
             digit_frequency(np.array([2, 3, 4]), P2)
+
+    @given(
+        m=st.sampled_from([2, 3, 10, 101, 4099]),
+        size=st.integers(10_000, 200_000),
+        seed=st.integers(0, 2**32 - 1),
+        outliers=st.integers(0, 50),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_histogram_matches_row_by_row_reference(self, m, size, seed, outliers):
+        params = new_params(m)
+        rng = np.random.default_rng(seed)
+        # inverse of the telescoped tail P(digit > k) = log((k+2)/(k+1))/L
+        u = rng.random(size)
+        digits = np.maximum(m, np.ceil(1.0 / np.expm1(u * math.log1p(1.0 / m))) - 1).astype(np.int64)
+        where = rng.integers(0, size, outliers)
+        digits[where] = rng.integers(10**6, 10**15, outliers)
+        got = digit_frequency(digits, params)
+        want = _row_by_row_histogram(digits, params)
+        assert got.rows == want.rows
+        assert (got.total, got.coverage, got.max_z) == (want.total, want.coverage, want.max_z)
+        row_types = {tuple(type(v) for v in row) for row in got.rows + want.rows}
+        assert row_types == {(int, int, float, float, float)}
+        assert [type(v) for v in (got.total, got.coverage, got.max_z)] == [int, float, float]
+
+    def test_statistics_leave_the_input_alone(self):
+        digits, _ = float_digit_run(0.41, 20_000, P2)
+        arr = digits.astype(np.float64)
+        before = arr.copy()
+        geo = geometric_mean_statistic(arr)
+        trend = arithmetic_mean_statistic(arr, (1000, 10_000))
+        assert np.array_equal(arr, before)
+        assert geo == float(np.exp(np.mean(np.log(before))))
+        assert trend == [(c, float(np.cumsum(before)[c - 1] / c)) for c in (1000, 10_000)]
+
+
+def _row_by_row_histogram(digits, params):
+    """The histogram built one k at a time, as ``digit_frequency`` once did."""
+    arr = np.asarray(digits, dtype=np.int64)
+    total = int(arr.size)
+    law_at = lambda k: digit_law(k, params)
+    k_max = params.m
+    while law_at(k_max + 1) * total >= 1.0:
+        k_max += 1
+    uniq, counts = np.unique(arr, return_counts=True)
+    count_of = dict(zip(uniq.tolist(), counts.tolist()))
+    rows = []
+    covered = 0
+    max_z = 0.0
+    for k in range(params.m, k_max + 1):
+        c = count_of.get(k, 0)
+        covered += c
+        law = float(law_at(k))
+        sigma = math.sqrt(total * law * (1.0 - law))
+        rows.append((k, c, c / total, law, sigma))
+        if total * law >= 25.0 and sigma > 0:
+            max_z = max(max_z, abs(c - total * law) / sigma)
+    return DigitHistogram(rows=tuple(rows), total=total, coverage=covered / total, max_z=max_z)
 
 
 class TestErgodicReport:
