@@ -286,26 +286,20 @@ def digit_frequency(digits, params: ThetaParams, min_samples: int = _MIN_HISTOGR
     """Histogram of observed digits with standard errors under the law.
 
     The table runs from m to k_max, the first k with law(k+1)*total < 1.
-    As law(k) ~ m/k^2, k_max lies within isqrt(2*total*(m+1)) + 4 of m,
-    so the law is evaluated once on that span (doubled should it fall
-    short) and the counts come from one bincount.  Frequency, sigma and
-    the normal deviates are array expressions in the order of the scalar
-    formulas, so the rows hold the same Python ints and floats as rows
-    built one k at a time.
+    Since log1p(y) < y and log(1 + 1/m) > 1/(m+1), law(k) < (m+1)/k^2,
+    so k_max < m + isqrt(2*total*(m+1)) + 4 and the law is evaluated once
+    on that span; the counts come from one bincount.  Frequency, sigma
+    and the normal deviates are array expressions in the order of the
+    scalar formulas, so the rows hold the same Python ints and floats as
+    rows built one k at a time.
     """
     arr = np.asarray(digits, dtype=np.int64)
     total = int(arr.size)
     if total < min_samples:
         raise ValueError(f"need at least {min_samples} digits, got {total}")
     m = params.m
-    span = math.isqrt(2 * total * (m + 1)) + 4
-    while True:
-        law = _constants.digit_law(np.arange(m, m + span + 1), params)
-        short = law[1:] * total < 1.0
-        if short.any():
-            break
-        span *= 2
-    n = int(np.argmax(short)) + 1  # rows k = m .. k_max
+    law = _constants.digit_law(np.arange(m, m + math.isqrt(2 * total * (m + 1)) + 5), params)
+    n = int(np.argmax(law[1:] * total < 1.0)) + 1  # rows k = m .. k_max
     law = law[:n]
     in_table = (arr >= m) & (arr < m + n)
     counts = np.bincount(arr[in_table] - m, minlength=n)
