@@ -162,6 +162,11 @@ def _parse_point(text: str, params) -> tuple[QThetaNumber, str | None]:
         except (ValueError, OverflowError):
             raise CLIError(f"cannot parse point {text!r}") from None
     limited = frac.limit_denominator(10**9)
+    if limited == 0 and frac != 0:
+        raise CLIError(
+            f"point {text!r} is below the 1e-9 resolution of decimal and 'p/q' input and would read as 0; "
+            "give it exactly in the coefficient form 'p/q,0'"
+        )
     notice = None
     if limited != frac:
         notice = f"input {text!r} snapped to {limited} (denominator <= 1e9)"
@@ -224,19 +229,12 @@ def cmd_expand(args) -> int:
         }
     )
     if args.format == "csv":
+        # an empty cell stands for a float beyond the double range or, on the float backend, no error
+        cell = lambda v: "" if v is None else repr(v)
         rows = [["n", "digit", "p_float", "q_float", "ratio_float", "error_float"]]
         for d, row in zip(seq.digits, conv_rows):
-            err = row.get("error_float")
-            rows.append(
-                [
-                    row["n"],
-                    d,
-                    repr(row["p"]["float"]),
-                    repr(row["q"]["float"]),
-                    repr(row["ratio_float"]),
-                    "" if err is None else repr(err),
-                ]
-            )
+            floats = (row["p"]["float"], row["q"]["float"], row["ratio_float"], row.get("error_float"))
+            rows.append([row["n"], d, *(cell(v) for v in floats)])
         _emit(_csv_text(rows), args.out)
     else:
         _emit(_json_text(payload), args.out)

@@ -694,5 +694,13 @@ def cylinder_measure(cyl, params: ThetaParams) -> Fraction:
 
 
 def qtheta_to_dict(x: QThetaNumber) -> dict:
-    """Coefficient-pair form {'a': 'p/q', 'b': 'p/q', 'float': value}."""
-    return {"a": str(x.a), "b": str(x.b), "float": float(x)}
+    """Coefficient-pair form {'a': 'p/q', 'b': 'p/q', 'float': value}.
+
+    The float is a convenience next to the exact coefficients; it is None
+    where |x| lies beyond the double range.
+    """
+    try:
+        value = float(x)
+    except OverflowError:
+        value = None
+    return {"a": str(x.a), "b": str(x.b), "float": value}

@@ -100,6 +100,29 @@ class TestExpand:
         assert lines[0] == "n,digit,p_float,q_float,ratio_float,error_float"
         assert len(lines) == 3
 
+    def test_convergents_beyond_the_double_range(self, tmp_path, capsys):
+        # q_n passes 1.8e308 well before these depths; the exact fields stay
+        for m, x, digits in ((2, "1/3", 1500), (101, "1/50", 300)):
+            out = tmp_path / f"deep{m}.json"
+            assert run(["expand", "--m", str(m), "--x", x, "--digits", str(digits), "--out", str(out)]) == 0
+            last = json.loads(out.read_text())["convergents"][-1]
+            assert last["q"]["float"] is None and last["p"]["float"] is None
+            assert len(last["q"]["a"]) + len(last["q"]["b"]) > 300
+            assert 0.0 < last["ratio_float"] < 1.0
+        assert run(["expand", "--m", "2", "--x", "1/3", "--digits", "1500", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].split(",")[2:4] == ["", ""]
+        assert float(lines[1].split(",")[3]) > 0.0  # early convergents keep their floats
+
+    def test_decimal_below_resolution_is_rejected(self, tmp_path, capsys):
+        assert run(["expand", "--m", "2", "--x", "1e-30", "--digits", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "1e-9 resolution" in err and "'p/q,0'" in err and "x = 0" not in err
+        out = tmp_path / "tiny.json"
+        exact = "1/" + "1" + "0" * 30
+        assert run(["expand", "--m", "2", "--x", exact + ",0", "--digits", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["x_value"]["a"] == exact
+
 
 class TestConstants:
     def test_quoted_values(self, tmp_path):

@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma, zeta
 
 import oracle_values as ov
@@ -40,7 +42,16 @@ from thetacf import (
     weight_tail_mass,
 )
 from thetacf.families import lipschitz_family, monotone_family
-from thetacf.operators import _alternating_zeta, _cheb_machinery, _digamma_diff, _zeta, _zeta_diff
+from thetacf.operators import (
+    _alternating_zeta,
+    _cheb_machinery,
+    _choose_tail,
+    _digamma_diff,
+    _fit_points,
+    _operator_matrix,
+    _zeta,
+    _zeta_diff,
+)
 
 P2 = new_params(2)
 P10 = new_params(10)
@@ -453,6 +464,15 @@ class TestEulerMaclaurinHelpers:
                     am = mp.mpf(x)
                     self._close(g, mp.fsum((-1) ** j * self._hurwitz(s + j, am) for j in range(25)))
 
+    def test_alternating_sum_for_many_orders_at_once(self):
+        # the U tail asks for all nine orders in one call; each column is that order's sum
+        a = np.array(self.A)
+        together = _alternating_zeta(np.arange(2, 11), a)
+        assert together.shape == (a.size, 9)
+        for j, s in enumerate(range(2, 11)):
+            one = _alternating_zeta(s, a)
+            assert np.max(np.abs(together[:, j] - one) / np.abs(one)) <= 4.5e-16
+
     def test_digamma_difference(self):
         with mp.workdps(40):
             for a in self.A:
@@ -479,3 +499,120 @@ class TestEulerMaclaurinHelpers:
             _digamma_diff(255.0, 0.5)
         with pytest.raises(ValueError):
             _zeta(65, 300.0)
+
+
+# ---------------------------------------------------------------------------
+# the assembled matrices behind apply_U, apply_V and the distribution step
+# ---------------------------------------------------------------------------
+
+MATRIX_M = (2, 3, 5, 10, 17, 101)
+
+
+def _gk_step_series(F, params):
+    """One distribution step by the per-call series, independent of the matrices.
+
+    Direct differences F(1/(i*theta)) - F(u_i(x)) up to the same cutoff N,
+    and the remainder folded through the power-basis coefficients of the
+    fit: coefficient k times the digamma (k = 1) or zeta (k >= 2)
+    difference of the tail moments.
+    """
+    th = params.theta
+    xs = F.nodes
+    N, ys = _choose_tail(F, params, "gk")
+    umax = 1.0 / ((N + 1) * th)
+    coef = np.polynomial.polynomial.polyfit(_fit_points(umax) / umax, ys, 8)
+    i = np.arange(params.m, N + 1, dtype=float)[:, None]
+    direct = np.sum(F(np.clip(1.0 / (i * th), 0.0, th)) - F(np.clip(1.0 / (i * th + xs), 0.0, th)), axis=0)
+    t = xs / th
+    tail = sum(
+        coef[k] / umax**k * (_digamma_diff(N + 1, t) / th if k == 1 else _zeta_diff(k, N + 1, t) / th**k)
+        for k in range(1, 9)
+    )
+    return direct + tail
+
+
+def _smooth_grid_function(params, rng):
+    """A random degree-64 polynomial with Chebyshev coefficients decaying like r^k.
+
+    r <= 0.5 keeps the cutoff N near its first value: slower decay at
+    m = 101 puts enough of f beyond a degree-8 fit on the tail interval
+    (which spans 40% of [0, theta] there) to double N up to 8192, which
+    is correct but makes each example cost up to a second.
+    """
+    th = params.theta
+    coef = rng.uniform(-1.0, 1.0, 65) * rng.uniform(0.1, 0.5) ** np.arange(65) * 10 ** rng.uniform(-1.0, 1.0)
+    return GridFunction(params, np.polynomial.chebyshev.chebval(2.0 * nodes_of(params) / th - 1.0, coef))
+
+
+def _smooth_cdf(params, rng):
+    """x/theta + b sin(k pi x/theta)/(k pi) + c (x/theta)(1 - x/theta), non-decreasing for |b| + |c| <= 1."""
+    s = nodes_of(params) / params.theta
+    b, c = rng.uniform(-0.5, 0.5, 2)
+    k = int(rng.integers(1, 5))
+    return GridFunction(params, s + b * np.sin(k * np.pi * s) / (k * np.pi) + c * s * (1.0 - s))
+
+
+@given(st.sampled_from(MATRIX_M), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_matrix_route_matches_the_series_on_a_plain_callable(m, seed):
+    params = new_params(m)
+    rng = np.random.default_rng(seed)
+    f = _smooth_grid_function(params, rng)
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(f.values))))
+    plain = lambda x: f(x)
+    assert np.max(np.abs(apply_U(f).values - transfer_values(plain, f.nodes, params, operator="U"))) <= tol
+    assert np.max(np.abs(apply_V(f).values - transfer_values(plain, f.nodes, params, operator="V"))) <= tol
+    F = _smooth_cdf(params, rng)
+    assert np.max(np.abs(gk_iterate_cdf(F, 1)[1].values - _gk_step_series(F, params))) <= 1e-13
+
+
+class TestAssembledMatrices:
+    def test_spot_values_match_mpmath_nsum(self):
+        for params in (P2, P10):
+            th, m = params.theta, params.m
+            f = GridFunction.from_callable(lambda x: np.cos(3 * x / th) + x, params, 64)
+            F = GridFunction.from_callable(lambda x: x / th + 0.5 * np.sin(np.pi * x / th) / np.pi, params, 64)
+            U, V, G = apply_U(f).values, apply_V(f).values, gk_iterate_cdf(F, 1)[1].values
+            with mp.workdps(30):
+                t = mp.mpf(th)
+                fm = lambda u: mp.cos(3 * u / t) + u
+                Fm = lambda u: u / t + mp.sin(mp.pi * u / t) / (2 * mp.pi)
+                for j in (0, 20, 45, 64):
+                    x = mp.mpf(float(f.nodes[j]))
+                    weight = lambda i: (t * x + 1) / ((x + i * t) * (x + (i + 1) * t))
+                    u = mp.nsum(lambda i: weight(i) * fm(1 / (i * t + x)), [m, mp.inf])
+                    v = mp.nsum(lambda i: fm(1 / (i * t + x)) / (i * t + x) ** 2, [m, mp.inf])
+                    g = mp.nsum(lambda i: Fm(1 / (i * t)) - Fm(1 / (i * t + x)), [m, mp.inf])
+                    assert abs(U[j] - float(u)) <= 1e-14
+                    assert abs(V[j] - float(v)) <= 1e-14
+                    assert abs(G[j] - float(g)) <= 1e-14
+
+    def test_u_rows_sum_to_one(self):
+        for m in MATRIX_M:
+            params = new_params(m)
+            M = _operator_matrix(params, 64, "U", max(256, m + 1))
+            assert np.max(np.abs(M.sum(axis=1) - 1.0)) <= 1e-14
+
+    def test_same_bytes_from_cold_and_warm_cache(self):
+        f = GridFunction.from_callable(lambda x: np.exp(-3 * x) + np.sin(5 * x), P10, 64)
+        F = GridFunction.from_callable(lambda x: gamma_cdf(x, P10), P10, 64)
+
+        def results():
+            return [apply_U(f).values.tobytes(), apply_V(f).values.tobytes(), gk_iterate_cdf(F, 2)[2].values.tobytes()]
+
+        _operator_matrix.cache_clear()
+        cold = results()
+        warm = results()
+        _operator_matrix.cache_clear()
+        assert cold == warm == results()
+
+    def test_matrix_is_read_only_and_never_aliased(self):
+        f = GridFunction.from_callable(lambda x: np.cos(x), P2, 64)
+        N, _ = _choose_tail(f, P2, "U")
+        M = _operator_matrix(P2, 64, "U", N)
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        for g in (apply_U(f), apply_V_power(f, 1), apply_S_power(f, f.with_values(np.ones(65)), 1)):
+            assert not np.shares_memory(g.values, M)
+        assert _operator_matrix(P2, 64, "U", N) is M
